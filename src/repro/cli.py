@@ -31,6 +31,7 @@ same seed, so parallelism is purely a wall-clock knob.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -87,9 +88,9 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"expected a positive number, got {text!r}"
         ) from None
-    if value <= 0:
+    if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(
-            f"expected a positive number, got {value}"
+            f"expected a finite positive number, got {value}"
         )
     return value
 

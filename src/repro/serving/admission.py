@@ -29,6 +29,7 @@ sees a dropped frame, not a hang) and is tracked as a first-class
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -52,17 +53,54 @@ class AdmissionControl:
     def __post_init__(self) -> None:
         if self.max_queue_per_replica is not None and self.max_queue_per_replica < 1:
             raise ValueError("max queue per replica must be >= 1")
-        if self.slack <= 0:
-            raise ValueError("admission slack must be positive")
+        if not (math.isfinite(self.slack) and self.slack > 0):
+            raise ValueError(
+                f"admission slack must be finite and positive, got {self.slack}"
+            )
 
     def admit(self, group: "ReplicaGroup", deadline_rel_ms: float) -> bool:
-        """True if the request may enter ``group``'s queue."""
-        if self.max_queue_per_replica is not None:
-            backlog = group.backlog_frames
-            if backlog >= self.max_queue_per_replica * group.replicas:
-                return False
+        """True if the request may enter ``group``'s queue.
+
+        Reads the group's live backlog and fleet, then applies
+        :meth:`admit_backlog` — the one admission formula both engines
+        share.
+        """
+        profile = group.spec.profile
+        return self.admit_backlog(
+            group.backlog_frames,
+            group.replicas,
+            profile.steady_interval_ms,
+            group.spec.batch_window_ms,
+            profile.first_frame_ms,
+            deadline_rel_ms,
+        )
+
+    def admit_backlog(
+        self,
+        backlog_frames: int,
+        replicas: int,
+        steady_interval_ms: float,
+        window_ms: float,
+        first_frame_ms: float,
+        deadline_rel_ms: float,
+    ) -> bool:
+        """The admission test on plain numbers.
+
+        ``backlog_frames`` are queued plus in flight, ``replicas`` the
+        live fleet (at least one). The predicted latency is backlog drain
+        (one frame per steady interval per replica), plus the batching
+        window, plus service: the cold fill when the group is idle, one
+        steady interval when it is busy.
+        """
+        cap = self.max_queue_per_replica
+        if cap is not None and backlog_frames >= cap * replicas:
+            return False
         if self.predict_miss:
-            if group.estimated_latency_ms() > self.slack * deadline_rel_ms:
+            service = first_frame_ms if backlog_frames == 0 else steady_interval_ms
+            if (
+                backlog_frames * steady_interval_ms / replicas + window_ms + service
+                > self.slack * deadline_rel_ms
+            ):
                 return False
         return True
 

@@ -40,6 +40,7 @@ path runs — sessions are bit-identical to the pre-chaos stack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 #: Fault kinds and the number of ``:``-separated fields each clause takes
@@ -115,6 +116,10 @@ class ChaosPlan:
                 raise ValueError(
                     f"chaos fault {clause!r}: numeric argument expected"
                 ) from exc
+            if not (math.isfinite(at) and math.isfinite(value)):
+                raise ValueError(
+                    f"chaos fault {clause!r}: numeric arguments must be finite"
+                )
             if kind != "die-at" and (at < 1 or at != int(at)):
                 raise ValueError(
                     f"chaos fault {clause!r}: batch ordinal must be a "
@@ -258,8 +263,12 @@ class RecoveryPolicy:
             raise ValueError("max_retries must be >= 0")
         if self.breaker_threshold < 0:
             raise ValueError("breaker_threshold must be >= 0")
-        if self.replace_after_ms is not None and self.replace_after_ms < 0:
-            raise ValueError("replace_after_ms must be >= 0")
+        if self.replace_after_ms is not None and not (
+            math.isfinite(self.replace_after_ms) and self.replace_after_ms >= 0
+        ):
+            raise ValueError(
+                f"replace_after_ms must be finite and >= 0, got {self.replace_after_ms}"
+            )
 
 
 class CircuitBreaker:

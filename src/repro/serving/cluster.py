@@ -38,6 +38,7 @@ End to end::
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -86,6 +87,11 @@ class GroupSpec:
             raise ValueError("a replica group needs a name")
         if self.replicas < 1:
             raise ValueError("a replica group needs at least one replica")
+        if not (math.isfinite(self.batch_window_ms) and self.batch_window_ms >= 0):
+            raise ValueError(
+                "batch window must be finite and >= 0 ms, "
+                f"got {self.batch_window_ms}"
+            )
 
 
 class ReplicaGroup:
@@ -152,22 +158,6 @@ class ReplicaGroup:
         """
         profile = self.pool.profile
         return self.spec.batch_window_ms + profile.first_frame_ms
-
-    def estimated_latency_ms(self) -> float:
-        """Predicted response latency of a request admitted right now.
-
-        Backlog drain, plus the batching window the dispatcher may hold,
-        plus service: the cold fill latency when the group is idle (its
-        pipelines will have drained by the time the frame lands) or one
-        steady interval when it is busy.
-        """
-        profile = self.pool.profile
-        service = (
-            profile.first_frame_ms
-            if self.backlog_frames == 0
-            else profile.steady_interval_ms
-        )
-        return self.backlog_ms() + self.spec.batch_window_ms + service
 
     # ------------------------------------------------------------------
     def start(

@@ -17,7 +17,8 @@ What is reused, not reimplemented:
 - :mod:`repro.serving.router` — the same router instances, fed
   duck-typed group views;
 - :class:`~repro.serving.admission.AdmissionControl` — same bounded
-  queue + predicted-miss shedding;
+  queue + predicted-miss shedding, through the one formula both engines
+  call (:meth:`~repro.serving.admission.AdmissionControl.admit_backlog`);
 - :class:`~repro.serving.slo.ServingReport` — same output record, so
   every report consumer (CLI, JSON, benchmarks) works unchanged.
 
@@ -47,7 +48,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Sequence
 
 import numpy as np
@@ -75,7 +76,8 @@ _IDLE, _WINDOW, _WAIT, _RUNNING = 0, 1, 2, 3
 
 # Event kinds. Ordering at equal times is by ``seq`` (creation order),
 # which dominates ``kind`` in the tuple comparison — the kind is a tag,
-# not a tie-breaker.
+# not a tie-breaker. An ``_EV_FINISH`` entry stands for a whole batch:
+# ``(t, seq, _EV_FINISH, group, frame j, (batch, finishes, replica))``.
 _EV_WINDOW, _EV_FINISH, _EV_PROVISION, _EV_SCALE = 0, 1, 2, 3
 _EV_FAIL, _EV_RELEASE = 4, 5
 
@@ -113,8 +115,15 @@ class AutoscalePolicy:
     max_step: int = 8
 
     def __post_init__(self) -> None:
-        if self.check_interval_ms <= 0 or self.warmup_ms < 0:
-            raise ValueError("autoscale intervals must be positive")
+        if not (math.isfinite(self.check_interval_ms) and self.check_interval_ms > 0):
+            raise ValueError(
+                "autoscale check interval must be finite and positive, "
+                f"got {self.check_interval_ms}"
+            )
+        if not (math.isfinite(self.warmup_ms) and self.warmup_ms >= 0):
+            raise ValueError(
+                f"autoscale warm-up must be finite and >= 0, got {self.warmup_ms}"
+            )
         if not 0 < self.target_utilization <= 1.0:
             raise ValueError("target utilization must be in (0, 1]")
         if not 1 <= self.min_replicas <= self.max_replicas:
@@ -154,6 +163,9 @@ class _EngineGroup:
         self.policy_kind = _POLICY_KIND[policy_name]
         self.batch_limit = batch_limit
         self.window_ms = spec.batch_window_ms
+        # Profile scalars the admission test reads on every arrival.
+        self.interval_ms = spec.profile.steady_interval_ms
+        self.first_frame_ms = spec.profile.first_frame_ms
         self.all_replicas: list[Replica] = []
         self.free: deque[Replica] = deque()
         self.live = 0  # replicas not yet retired (free + busy)
@@ -236,15 +248,6 @@ class _EngineGroup:
         """Best-case response latency: batching window plus cold fill."""
         return self.window_ms + self.profile.first_frame_ms
 
-    def estimated_latency_ms(self) -> float:
-        """Predicted response latency of a request admitted right now."""
-        service = (
-            self.profile.first_frame_ms
-            if self.backlog_frames == 0
-            else self.profile.steady_interval_ms
-        )
-        return self.backlog_ms() + self.window_ms + service
-
 
 class _HeapSession:
     """One event-heap serving session over a :class:`RequestTrace`."""
@@ -289,109 +292,152 @@ class _HeapSession:
         self._failed_flag = bytearray(n)
         self._events: list[tuple] = []
         self._seq = 0
-        self._cursor = 0
         self._duration = 0.0
-        self._pending = 0  # admitted but unfinished requests
         self._peak = sum(g.live for g in groups)
 
     # ------------------------------------------------------------------
     def run(self) -> None:
+        """The session's one event loop.
+
+        Arrivals come off the presorted trace and timed events off the
+        heap, merged in time order (an arrival goes first on a tie). An
+        arrival costs O(1): route (only with several groups), the
+        chaos-aware front door, the shared admission test on counters
+        the group already holds, and one enqueue. A dispatched batch
+        keeps one live heap entry, re-armed frame by frame with each
+        frame's own ``(t, seq)`` key (see :meth:`_dispatch`).
+        """
         events = self._events
         arrival = self._arrival
+        rel_of = self._rel
+        avatar_of = self._avatar
+        group_of = self._group_of
+        shed_flag = self._shed_flag
+        finish_of = self._finish
+        attempts = self._attempts
+        groups = self.groups
+        group0 = groups[0]
+        route = self.router.route if len(groups) > 1 else None
+        admit = None if self.admission is None else self.admission.admit_backlog
+        chaos = self._chaos_active
+        cluster = self._cluster
         n = len(arrival)
-        autoscale = self.autoscale
-        if autoscale is not None:
-            self._push(autoscale.check_interval_ms, _EV_SCALE, 0, 0, None)
+        i = 0
+        duration = 0.0
+        if self.autoscale is not None:
+            self._push(self.autoscale.check_interval_ms, _EV_SCALE, 0, 0, None)
         while True:
-            i = self._cursor
             if i < n and (not events or arrival[i] <= events[0][0]):
-                self._cursor = i + 1
-                self._on_arrival(i, arrival[i])
+                t = arrival[i]
+                rel = rel_of[i]
+                group = group0 if route is None else groups[route(rel, t, groups)]
+                if chaos:
+                    # Failure-aware front door, same decisions as the
+                    # coroutine cluster: divert from tripped/exhausted
+                    # groups via the shared failover_route; no group
+                    # available → the frame fails at the door, charged to
+                    # the preferred group.
+                    if cluster:
+                        index = failover_route(
+                            group.index,
+                            rel,
+                            groups,
+                            [not g.breaker.open and not g.exhausted for g in groups],
+                        )
+                    else:
+                        index = None if group.exhausted else group.index
+                    if index is None:
+                        self._fail_at_door(i, t, group)
+                        i += 1
+                        continue
+                    if index != group.index:
+                        group = groups[index]
+                        group.failovers += 1
+                group.arrivals_since_check += 1
+                group_of[i] = group.index
+                if t > duration:
+                    duration = t
+                group.submitted += 1
+                if admit is not None:
+                    replicas = group.live - group.pending_drain
+                    if not admit(
+                        group.queue_len + group.inflight,
+                        replicas if replicas > 1 else 1,
+                        group.interval_ms,
+                        group.window_ms,
+                        group.first_frame_ms,
+                        rel,
+                    ):
+                        group.shed += 1
+                        shed_flag[i] = 1
+                        i += 1
+                        continue
+                kind = group.policy_kind
+                if kind == _EDF:
+                    heappush(group.edf_q, (t + rel, i))
+                elif kind == _FIFO:
+                    if chaos:
+                        heappush(group.fifo_q, (t, i))
+                    else:
+                        group.fifo_q.append(i)
+                else:
+                    queue = group.fair_q.get(avatar_of[i])
+                    if queue is None:
+                        group.fair_q[avatar_of[i]] = deque((i,))
+                    else:
+                        queue.append(i)
+                group.queue_len += 1
+                i += 1
+                if group.state == _IDLE:
+                    self._drive(group, t)
                 continue
             if not events:
                 break
+            head = events[0]
+            if head[2] == _EV_FINISH:
+                t, seq, _, gi, j, payload = head
+                batch, eff, replica = payload
+                req = batch[j]
+                finish_of[req] = t
+                group = groups[gi]
+                group.inflight -= 1
+                if chaos:
+                    attempts.pop(req, None)
+                if t > duration:
+                    duration = t
+                j += 1
+                if j < len(batch):
+                    heapreplace(
+                        events, (eff[j], seq + 1, _EV_FINISH, gi, j, payload)
+                    )
+                    continue
+                heappop(events)
+                if replica is not None:
+                    # Last frame of a plain batch: it succeeded (the
+                    # breaker closes), and the replica frees up.
+                    if chaos:
+                        group.breaker.record_success()
+                    self._release(t, group, replica)
+                continue
             t, _, kind, gi, a, b = heappop(events)
-            if kind == _EV_FINISH:
-                self._on_finish(t, self.groups[gi], a, b)
-            elif kind == _EV_WINDOW:
-                self._on_window(t, self.groups[gi])
+            if kind == _EV_WINDOW:
+                self._on_window(t, groups[gi])
             elif kind == _EV_PROVISION:
-                self._on_provision(t, self.groups[gi], a)
+                self._on_provision(t, groups[gi], a)
             elif kind == _EV_SCALE:
-                self._on_scale(t)
+                self._on_scale(t, i < n)
             elif kind == _EV_FAIL:
-                self._on_fail(t, self.groups[gi], a, b)
+                self._on_fail(t, groups[gi], a, b)
             else:
-                self._on_release(t, self.groups[gi], a, b)
+                self._on_release(t, groups[gi], a, b)
+        if duration > self._duration:
+            self._duration = duration
 
     def _push(self, t: float, kind: int, gi: int, a, b) -> None:
         self._seq += 1
         heappush(self._events, (t, self._seq, kind, gi, a, b))
 
     # ------------------------------------------------------------------
-    def _on_arrival(self, i: int, t: float) -> None:
-        groups = self.groups
-        rel = self._rel[i]
-        if len(groups) == 1:
-            preferred = 0
-        else:
-            preferred = self.router.route(rel, t, groups)
-        group = groups[preferred]
-        if self._chaos_active:
-            # Failure-aware front door, same decisions as the coroutine
-            # cluster: divert from tripped/exhausted groups via the
-            # shared failover_route; no group available → the frame
-            # fails at the door, charged to the preferred group.
-            if self._cluster:
-                index = failover_route(
-                    preferred,
-                    rel,
-                    groups,
-                    [
-                        not g.breaker.open and not g.exhausted
-                        for g in groups
-                    ],
-                )
-                if index is None:
-                    self._fail_at_door(i, t, group)
-                    return
-                if index != preferred:
-                    groups[index].failovers += 1
-                group = groups[index]
-            elif group.exhausted:
-                self._fail_at_door(i, t, group)
-                return
-        group.arrivals_since_check += 1
-        self._group_of[i] = group.index
-        if t > self._duration:
-            self._duration = t
-        if self.admission is not None and not self.admission.admit(
-            group, rel
-        ):
-            group.submitted += 1
-            group.shed += 1
-            self._shed_flag[i] = 1
-            return
-        group.submitted += 1
-        self._pending += 1
-        kind = group.policy_kind
-        if kind == _FIFO:
-            if self._chaos_active:
-                heappush(group.fifo_q, (t, i))
-            else:
-                group.fifo_q.append(i)
-        elif kind == _EDF:
-            heappush(group.edf_q, (t + rel, i))
-        else:
-            queue = group.fair_q.get(self._avatar[i])
-            if queue is None:
-                group.fair_q[self._avatar[i]] = deque((i,))
-            else:
-                queue.append(i)
-        group.queue_len += 1
-        if group.state == _IDLE:
-            self._drive(group, t)
-
     def _drive(self, group: _EngineGroup, t: float) -> None:
         """The dispatcher loop top: park, hold the window, or dispatch.
 
@@ -499,18 +545,23 @@ class _HeapSession:
                     eff[j] = hedge_finishes[j]
                     group.hedge_wins += 1
         start = self._start
+        for req in batch:
+            start[req] = t
         last = size - 1
         plain = hedge_replica is None and not stall_ms
-        for j in range(size):
-            req = batch[j]
-            start[req] = t
-            self._push(
-                eff[j],
-                _EV_FINISH,
-                gi,
-                req,
-                replica if plain and j == last else None,
-            )
+        # One live heap entry per in-flight batch. The batch reserves the
+        # ``size`` consecutive seqs its frames would each have taken; the
+        # entry starts as frame 0 and the loop re-arms it as frame j+1,
+        # key ``(eff[j+1], seq+1)``, when frame j pops. ``eff`` never
+        # decreases (replica finishes are non-decreasing, and so are
+        # their scaled and hedge-min forms), so each frame pops exactly
+        # where its own entry would have.
+        seq = self._seq + 1
+        self._seq += size
+        heappush(
+            self._events,
+            (eff[0], seq, _EV_FINISH, gi, 0, (batch, eff, replica if plain else None)),
+        )
         if plain:
             return
         # Completion decoupled from release: the breaker's success lands
@@ -581,32 +632,6 @@ class _HeapSession:
             last_served[self._avatar[req]] = t
         return batch
 
-    def _on_finish(
-        self, t: float, group: _EngineGroup, req: int, replica
-    ) -> None:
-        self._finish[req] = t
-        group.inflight -= 1
-        self._pending -= 1
-        if self._chaos_active:
-            self._attempts.pop(req, None)
-        if t > self._duration:
-            self._duration = t
-        if replica is None:
-            return
-        # Last frame of its batch: the batch succeeded (the breaker
-        # closes), and the replica frees up (or retires).
-        if self._chaos_active:
-            group.breaker.record_success()
-        if group.pending_drain > 0:
-            group.pending_drain -= 1
-            group.live -= 1
-            return
-        group.free.append(replica)
-        if group.state == _WAIT:
-            group.state = _RUNNING
-            self._dispatch(group, t)
-            self._drive(group, t)
-
     def _on_provision(self, t: float, group: _EngineGroup, marker) -> None:
         group.provisioning -= 1
         group.add_replica()  # lands cold: first batch pays the fill
@@ -621,6 +646,19 @@ class _HeapSession:
         peak = sum(g.live for g in self.groups)
         if peak > self._peak:
             self._peak = peak
+        self._wake(group, t)
+
+    def _release(self, t: float, group: _EngineGroup, replica: Replica) -> None:
+        """A replica finished its batch: retire it if draining, else free it."""
+        if group.pending_drain > 0:
+            group.pending_drain -= 1
+            group.live -= 1
+            return
+        group.free.append(replica)
+        self._wake(group, t)
+
+    def _wake(self, group: _EngineGroup, t: float) -> None:
+        """A replica came free: a dispatcher waiting for one runs now."""
         if group.state == _WAIT:
             group.state = _RUNNING
             self._dispatch(group, t)
@@ -685,15 +723,7 @@ class _HeapSession:
             replica.health = "up"
         if replica.health == "dead":
             return  # a dead replica never rejoins the rotation
-        if group.pending_drain > 0:
-            group.pending_drain -= 1
-            group.live -= 1
-            return
-        group.free.append(replica)
-        if group.state == _WAIT:
-            group.state = _RUNNING
-            self._dispatch(group, t)
-            self._drive(group, t)
+        self._release(t, group, replica)
 
     def _fail_at_door(self, i: int, t: float, group: _EngineGroup) -> None:
         """No group can take this arrival: it fails, charged to ``group``."""
@@ -737,7 +767,6 @@ class _HeapSession:
         self._attempts.pop(req, None)
         group.failed += 1
         self._failed_flag[req] = 1
-        self._pending -= 1
 
     def _check_exhausted(self, group: _EngineGroup) -> None:
         if group.exhausted or group.live > 0 or group.replacing > 0:
@@ -758,8 +787,13 @@ class _HeapSession:
         for req in drained:
             self._fail_request(group, req)
         group.queue_len = 0
+        if group.state == _WAIT:
+            # Nothing left to wait for: the dispatcher retires, so a
+            # replica the autoscaler lands later does not dispatch an
+            # empty batch.
+            group.state = _IDLE
 
-    def _on_scale(self, t: float) -> None:
+    def _on_scale(self, t: float, arrivals_left: bool) -> None:
         policy = self.autoscale
         assert policy is not None
         window_s = policy.check_interval_ms / 1000.0
@@ -794,7 +828,9 @@ class _HeapSession:
                     group.live -= 1
                     step -= 1
                 group.pending_drain += step
-        if self._cursor < len(self._arrival) or self._pending > 0:
+        # Re-arm while traffic is still due or admitted frames are
+        # unsettled (queued, or in flight — retried frames are queued).
+        if arrivals_left or any(g.queue_len or g.inflight for g in self.groups):
             self._push(t + policy.check_interval_ms, _EV_SCALE, 0, 0, None)
 
     # ------------------------------------------------------------------

@@ -13,6 +13,7 @@ slightly conservative (idle shares are not redistributed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 #: Fraction of peak DDR bandwidth sustainable with realistic access
@@ -42,10 +43,14 @@ class DramChannel:
     _flows: dict[str, DramFlow] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
-        if self.bandwidth_gbps <= 0:
-            raise ValueError(f"bandwidth must be positive: {self.bandwidth_gbps}")
-        if self.frequency_mhz <= 0:
-            raise ValueError(f"frequency must be positive: {self.frequency_mhz}")
+        if not (math.isfinite(self.bandwidth_gbps) and self.bandwidth_gbps > 0):
+            raise ValueError(
+                f"bandwidth must be finite and positive: {self.bandwidth_gbps}"
+            )
+        if not (math.isfinite(self.frequency_mhz) and self.frequency_mhz > 0):
+            raise ValueError(
+                f"frequency must be finite and positive: {self.frequency_mhz}"
+            )
         if not 0 < self.efficiency <= 1:
             raise ValueError(f"efficiency must be in (0, 1]: {self.efficiency}")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from numbers import Integral
 
 from repro.arch.config import AcceleratorConfig
 from repro.construction.reorg import PipelinePlan
@@ -83,80 +84,109 @@ class PipelineSimulator:
                 producer.out_links.append(
                     LinkState(consumer=sim, capacity_rows=capacity)
                 )
+        for sim in self.stages.values():
+            sim.build_tables()
+
+        # A completion changes only its own stage (progress, busy flag),
+        # its producers' credit and its consumers' input rows, so those are
+        # the only stages it can make startable. Indices are stage order.
+        index = {name: i for i, name in enumerate(self.stages)}
+        self._wake = [
+            sorted(
+                {i}
+                | {index[producer.name] for producer in sim.producers}
+                | {index[link.consumer.name] for link in sim.out_links}
+            )
+            for i, sim in enumerate(self.stages.values())
+        ]
 
     # ------------------------------------------------------------------
     def run(self, frames: int = 8) -> SimStats:
-        """Simulate ``frames`` frames through every pipeline."""
+        """Simulate ``frames`` frames through every pipeline.
+
+        Event-driven over step completions. Starting a step changes only
+        the started stage, so one pass over the candidates in stage order
+        starts every startable stage. A completion re-checks only its
+        stage's ``wake`` list (itself, its producers, its consumers) plus
+        the stages last seen waiting only for their start-up ``ready_at``
+        time — the one predicate that turns true by the clock alone.
+        """
+        if isinstance(frames, bool) or not isinstance(frames, Integral):
+            raise TypeError(f"frames must be an int, got {frames!r}")
         if frames < 1:
             raise ValueError("need at least one frame")
+        sims = list(self.stages.values())
+        wake = self._wake
         stats = SimStats(frames_requested=frames)
-        for name, sim in self.stages.items():
+        stage_stats = []
+        for sim in sims:
             sim.frames_target = frames
             sim.frame = 0
             sim.step = 0
             sim.emitted_rows = 0
             sim.busy = False
-            stats.stages[name] = StageStats(name=name)
+            st = stats.stages[sim.name] = StageStats(name=sim.name)
+            stage_stats.append(st)
 
         # Startup: resident weights load once through DRAM, then the first
         # step's streamed data is prefetched on the stage's own flow.
-        ready_at: dict[str, float] = {}
-        dram_ready: dict[str, float] = {}
-        for name, sim in self.stages.items():
-            loaded = self.dram.request("", sim.resident_weight_bytes, 0.0)
-            ready_at[name] = loaded
-            dram_ready[name] = self.dram.request(
-                name, sim.dram_bytes_per_step, loaded
-            )
+        request = self.dram.request
+        ready_at: list[float] = []
+        dram_ready: list[float] = []
+        for sim in sims:
+            loaded = request("", sim.resident_weight_bytes, 0.0)
+            ready_at.append(loaded)
+            dram_ready.append(request(sim.name, sim.dram_bytes_per_step, loaded))
             sim.idle_since = loaded
 
         counter = itertools.count()
-        events: list[tuple[float, int, str]] = []
+        events: list[tuple[float, int, int]] = []
+        blocked: set[int] = set()  # stages that only wait for ready_at
         now = 0.0
 
-        def try_start(sim: StageSim) -> bool:
-            if sim.busy or sim.done():
-                return False
-            if ready_at[sim.name] > now:
-                return False
-            if not sim.inputs_available():
-                return False
-            if not sim.credits_available():
-                return False
-            st = stats.stages[sim.name]
-            st.input_stall_cycles += now - sim.idle_since
-            # This step waits for the data prefetched one step earlier;
-            # the next step's transfer starts now (double buffering).
-            dram_done = dram_ready[sim.name]
-            dram_ready[sim.name] = self.dram.request(
-                sim.name, sim.dram_bytes_per_step, now
-            )
-            compute_done = now + sim.compute_cycles_per_step
-            finish = max(compute_done, dram_done)
-            st.busy_cycles += sim.compute_cycles_per_step
-            st.dram_stall_cycles += finish - compute_done
-            st.record_interval(now, finish)
-            sim.busy = True
-            heapq.heappush(events, (finish, next(counter), sim.name))
-            return True
-
-        def try_start_all() -> None:
-            started = True
-            while started:
-                started = False
-                for sim in self.stages.values():
-                    if try_start(sim):
-                        started = True
+        def start_startable(candidates) -> None:
+            if blocked:
+                candidates = sorted(blocked.union(candidates))
+                blocked.clear()
+            for i in candidates:
+                sim = sims[i]
+                if sim.busy or sim.frame >= frames:
+                    continue
+                if ready_at[i] > now:
+                    blocked.add(i)
+                    continue
+                if not sim.inputs_available() or not sim.credits_available():
+                    continue
+                st = stage_stats[i]
+                st.input_stall_cycles += now - sim.idle_since
+                # This step waits for the data prefetched one step earlier;
+                # the next step's transfer starts now (double buffering).
+                dram_done = dram_ready[i]
+                dram_ready[i] = request(sim.name, sim.dram_bytes_per_step, now)
+                compute_done = now + sim.compute_cycles_per_step
+                finish = max(compute_done, dram_done)
+                st.busy_cycles += sim.compute_cycles_per_step
+                st.dram_stall_cycles += finish - compute_done
+                st.record_interval(now, finish)
+                sim.busy = True
+                heapq.heappush(events, (finish, next(counter), i))
 
         # Kick off anything that can start at the ready times.
-        for t in sorted(set(ready_at.values())):
+        everyone = range(len(sims))
+        for t in sorted(set(ready_at)):
             now = t
-            try_start_all()
+            start_startable(everyone)
 
-        while events:
-            now, _, name = heapq.heappop(events)
-            sim = self.stages[name]
-            st = stats.stages[name]
+        while events or blocked:
+            if not events:
+                # Nothing is in flight, but a stage still waits out its
+                # weight load: it starts at its ready time.
+                now = min(ready_at[i] for i in blocked)
+                start_startable(())
+                continue
+            now, _, i = heapq.heappop(events)
+            sim = sims[i]
+            st = stage_stats[i]
             was_last_step = sim.step >= sim.steps_per_frame - 1
             sim.complete_step()
             sim.busy = False
@@ -165,14 +195,12 @@ class PipelineSimulator:
             if was_last_step:
                 st.frames_done += 1
                 st.frame_finish_times.append(now)
-            try_start_all()
+            start_startable(wake[i])
 
         stats.total_cycles = now
         stats.dram_busy_cycles = self.dram.busy_cycles
         stats.dram_bytes = self.dram.bytes_moved
-        unfinished = [
-            s.name for s in self.stages.values() if not s.done()
-        ]
+        unfinished = [s.name for s in sims if not s.done()]
         if unfinished:
             raise RuntimeError(
                 f"simulation deadlocked; unfinished stages: {unfinished}"

@@ -104,6 +104,11 @@ def _steady_state_fps(
     return (len(window) - 1) * frequency_mhz * 1e6 / cycles
 
 
+def _check_warmup(warmup: int) -> None:
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
+
+
 def simulate(
     plan: PipelinePlan,
     config: AcceleratorConfig,
@@ -120,6 +125,7 @@ def simulate(
     whole run *including* pipeline fill — the same accounting a board
     measurement with a host-side timer would produce.
     """
+    _check_warmup(warmup)
     simulator = PipelineSimulator(
         plan=plan,
         config=config,
@@ -197,6 +203,7 @@ def frame_latency_profile(
     """
     if frames < 2:
         raise ValueError("need at least two frames to split fill from steady state")
+    _check_warmup(warmup)
     simulator = PipelineSimulator(
         plan=plan,
         config=config,

@@ -87,6 +87,11 @@ class StageSim:
         self.producers: list[StageSim] = []
         self.out_links: list[LinkState] = []
 
+        # Per-step geometry tables (filled by :meth:`build_tables`).
+        self.needed: list[int] = []
+        self.rows_after: list[int] = []
+        self.in_links: list[tuple[StageSim, LinkState, int, list[int]]] = []
+
         # Progress.
         self.frame = 0
         self.step = 0
@@ -150,6 +155,29 @@ class StageSim:
         """Producer rows a consumer must retain across adjacent steps."""
         return _ceil_div(self.stage.kernel, self.stage.upsample_in)
 
+    def build_tables(self) -> None:
+        """Precompute the per-step geometry once the stage is wired.
+
+        ``needed[step]`` is :meth:`producer_rows_needed`, ``rows_after[step]``
+        is :meth:`rows_after_step`, and each ``in_links`` entry holds a
+        producer, its link to this stage, its ``out_height`` and
+        ``freed[step]``: the producer rows (past this frame's start) that
+        ``step`` releases once it completes.
+        """
+        steps = range(self.steps_per_frame)
+        self.needed = [self.producer_rows_needed(step) for step in steps]
+        self.rows_after = [self.rows_after_step(step) for step in steps]
+        kept = self.window_overlap_rows()
+        self.in_links = []
+        for producer in self.producers:
+            link = next(
+                link for link in producer.out_links if link.consumer is self
+            )
+            out_height = producer.stage.out_height
+            freed = [max(0, needed - kept) for needed in self.needed[:-1]]
+            freed.append(out_height)  # the last step frees the whole frame
+            self.in_links.append((producer, link, out_height, freed))
+
     # ------------------------------------------------------------------
     # scheduling predicates
     # ------------------------------------------------------------------
@@ -158,19 +186,17 @@ class StageSim:
 
     def inputs_available(self) -> bool:
         """All producers have emitted the rows this step's window needs."""
-        for producer in self.producers:
-            required = (
-                self.frame * producer.stage.out_height
-                + self.producer_rows_needed(self.step)
-            )
-            if producer.emitted_rows < required:
+        needed = self.needed[self.step]
+        frame = self.frame
+        for producer, _, out_height, _ in self.in_links:
+            if producer.emitted_rows < frame * out_height + needed:
                 return False
         return True
 
     def credits_available(self) -> bool:
         """All consumers can absorb the rows this step will emit."""
         emitted_after = (
-            self.frame * self.stage.out_height + self.rows_after_step(self.step)
+            self.frame * self.stage.out_height + self.rows_after[self.step]
         )
         for link in self.out_links:
             if emitted_after - link.consumed_rows > link.capacity_rows:
@@ -182,25 +208,16 @@ class StageSim:
     # ------------------------------------------------------------------
     def complete_step(self) -> None:
         """Advance emission/consumption bookkeeping after one step."""
-        self.emitted_rows = (
-            self.frame * self.stage.out_height + self.rows_after_step(self.step)
-        )
+        step = self.step
+        frame = self.frame
+        self.emitted_rows = frame * self.stage.out_height + self.rows_after[step]
         # Release producer rows this window no longer needs.
-        for producer in self.producers:
-            link = next(
-                link for link in producer.out_links if link.consumer is self
+        for _, link, out_height, freed in self.in_links:
+            link.consumed_rows = max(
+                link.consumed_rows, frame * out_height + freed[step]
             )
-            if self.step >= self.steps_per_frame - 1:
-                freed = (self.frame + 1) * producer.stage.out_height
-            else:
-                kept = self.window_overlap_rows()
-                freed = (
-                    self.frame * producer.stage.out_height
-                    + max(0, self.producer_rows_needed(self.step) - kept)
-                )
-            link.consumed_rows = max(link.consumed_rows, freed)
-        if self.step >= self.steps_per_frame - 1:
-            self.frame += 1
+        if step >= self.steps_per_frame - 1:
+            self.frame = frame + 1
             self.step = 0
         else:
-            self.step += 1
+            self.step = step + 1

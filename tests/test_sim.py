@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.arch.config import AcceleratorConfig, BranchConfig, StageConfig
 from repro.construction.reorg import build_pipeline_plan
 from repro.devices.budget import ResourceBudget
+from repro.ir.builder import GraphBuilder
+from repro.ir.layer import BiasMode, TensorShape
 from repro.dse.inbranch import optimize_branch
 from repro.perf.analytical import stage_latency_cycles
 from repro.perf.estimator import evaluate
 from repro.quant.schemes import INT8
 from repro.sim.dram import DramChannel
 from repro.sim.pipeline import PipelineSimulator
-from repro.sim.runner import simulate
+from repro.sim.runner import frame_latency_profile, simulate
 from repro.sim.stage import ROW_OVERHEAD_CYCLES
 from tests.conftest import make_chain, make_tiny_decoder
 
@@ -182,3 +186,48 @@ class TestMultiBranch:
         simulator = PipelineSimulator(plan, config, INT8, 12.8, 200.0)
         with pytest.raises(ValueError):
             simulator.run(frames=0)
+
+
+class TestInputValidation:
+    def test_negative_warmup_profile(self):
+        plan, config = chain_setup(depth=1)
+        with pytest.raises(ValueError, match="warmup"):
+            frame_latency_profile(plan, config, INT8, 12.8, frames=4, warmup=-1)
+
+    def test_negative_warmup_simulate(self):
+        plan, config = chain_setup(depth=1)
+        with pytest.raises(ValueError, match="warmup"):
+            simulate(plan, config, INT8, 12.8, frames=4, warmup=-5)
+
+    @pytest.mark.parametrize("bandwidth", [math.nan, math.inf])
+    def test_non_finite_bandwidth(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth"):
+            DramChannel(bandwidth_gbps=bandwidth, frequency_mhz=200.0)
+
+    def test_non_finite_frequency(self):
+        plan, config = chain_setup(depth=1)
+        with pytest.raises(ValueError, match="frequency"):
+            simulate(plan, config, INT8, 12.8, frequency_mhz=math.nan, frames=4)
+
+    @pytest.mark.parametrize("frames", [2.5, True, "3"])
+    def test_frames_must_be_int(self, frames):
+        plan, config = chain_setup(depth=1)
+        simulator = PipelineSimulator(plan, config, INT8, 12.8, 200.0)
+        with pytest.raises(TypeError, match="frames"):
+            simulator.run(frames=frames)
+
+
+def test_stage_waiting_only_for_its_weights_still_starts():
+    """A stage whose resident weights load after its producer has filled
+    the line buffer (so nothing else is in flight) starts at its ready
+    time instead of being reported as deadlocked."""
+    b = GraphBuilder("slow_weights")
+    x = b.input("x", TensorShape(3, 8, 8))
+    x = b.conv(x, out_channels=64, kernel=3, bias=BiasMode.TIED)
+    b.conv(x, out_channels=96, kernel=3, bias=BiasMode.TIED)
+    plan = build_pipeline_plan(b.graph)
+    simulator = PipelineSimulator(
+        plan, AcceleratorConfig.uniform(plan), INT8, 0.05, 200.0
+    )
+    stats = simulator.run(frames=3)
+    assert all(st.frames_done == 3 for st in stats.stages.values())

@@ -288,6 +288,13 @@ def drive_fleet(cases, spec, workers=2, faults=()):
         )
         thread.start()
         threads.append(thread)
+        if fault is not None:
+            # Hold the next worker back until this one holds a lease, so a
+            # healthy worker cannot drain every shard before the fault fires.
+            for _ in range(1000):
+                if coordinator.stats["leases"] > index:
+                    break
+                time.sleep(0.01)
     server.join(timeout=120)
     assert not server.is_alive(), f"sweep never drained: {coordinator.stats}"
     for thread in threads:

@@ -16,7 +16,7 @@ Subcommands cover the framework's whole surface:
   deadline-EDF / fair batching) with latency/deadline SLO reporting;
   with ``--cluster`` it serves a heterogeneous replica-group cluster
   (deadline-aware routing, optional load shedding, in-process or
-  socket-served replicas);
+  locally hosted replicas);
 - ``experiment <name>``         — regenerate one of the paper's tables or
   figures (or the ablations).
 
@@ -1027,7 +1027,7 @@ def cmd_fleet_coordinator(args: argparse.Namespace) -> int:
     import json as json_module
 
     from repro.dist.coordinator import FleetSpec, run_fleet_sweep
-    from repro.dist.faults import FaultPlan
+    from repro.faults import FaultPlan
     from repro.fcad.flow import sweep_grid
 
     token = _resolve_token(args.token, "repro fleet coordinator")
@@ -1350,7 +1350,7 @@ def build_parser() -> argparse.ArgumentParser:
             "      requests that would miss their deadline anyway\n"
             "  repro serve --transport socket --avatars 8 --duration 1\n"
             "      serve ~1 second of traffic with the replicas hosted by\n"
-            "      a subprocess behind a local socket\n"
+            "      a locally spawned, token-authenticated replica server\n"
             "chaos engineering (deterministic fault injection):\n"
             "  repro serve --replicas 4 --chaos die-at:0:200,die-at:1:400 \\\n"
             "      --max-retries 2 --replace-after-ms 500 --seed 0\n"
@@ -1409,7 +1409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--transport", default="inprocess",
         help="replica transport: in-process replicas (default), a "
-        "socket-served subprocess (socket), or a persistent remote "
+        "locally spawned replica server (socket), or a persistent remote "
         "replica server (remote:HOST:PORT — see `repro fleet replicas`)",
     )
     p.add_argument(

@@ -5,22 +5,23 @@ clients:
 
 - :mod:`repro.dist.wire` / :mod:`repro.dist.protocol` — newline-delimited
   JSON framing with message ids, a shared-secret HMAC handshake, and
-  heartbeat/ping messages. ``SocketTransport`` speaks the same framing.
+  heartbeat/ping messages.
 - :mod:`repro.dist.coordinator` / :mod:`repro.dist.worker` — the sweep
   control plane: a coordinator leases sweep shards to workers with
   deadlines, streams eval-cache deltas between them, re-leases shards
   whose worker died, and checkpoints progress for resumable runs.
-- :mod:`repro.dist.remote_transport` — a
-  :class:`~repro.serving.transport.ReplicaTransport` against a persistent
-  remote replica server, with reconnection, request resubmission, and
-  per-replica health surfaced into the serving report.
+- :mod:`repro.dist.remote_transport` — the repo's one replica server
+  and a :class:`~repro.serving.transport.ReplicaTransport` against it,
+  with reconnection, request resubmission, and per-replica health
+  surfaced into the serving report. The ``remote:HOST:PORT`` transport
+  dials a persistent host; the ``socket`` transport spawns a local one
+  with a per-spawn token.
 
 See ``docs/distributed.md`` for topology, lease/heartbeat semantics, and
 the determinism guarantees.
 """
 
 from repro.dist.coordinator import FleetSpec, SweepCoordinator, run_fleet_sweep
-from repro.dist.faults import FaultInjector, FaultPlan
 from repro.dist.protocol import PROTOCOL_VERSION, AuthError, ProtocolError
 from repro.dist.remote_transport import (
     RemoteReplicaError,
@@ -29,6 +30,7 @@ from repro.dist.remote_transport import (
 )
 from repro.dist.wire import LineSocket, WireClosed, pack_blob, unpack_blob
 from repro.dist.worker import FleetWorker, run_worker
+from repro.faults import FaultInjector, FaultPlan
 
 __all__ = [
     "PROTOCOL_VERSION",

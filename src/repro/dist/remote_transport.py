@@ -1,10 +1,13 @@
-"""Serving replicas on a persistent remote host.
+"""Serving replicas on a persistent replica host.
 
 :class:`RemoteTransport` implements the
 :class:`~repro.serving.transport.ReplicaTransport` protocol against a
-long-lived replica server (:func:`serve_replicas`) reached by
-``host:port`` — the fleet counterpart of ``SocketTransport``'s child
-subprocess. Differences that matter:
+long-lived, authenticated replica server (:func:`serve_replicas`)
+reached by ``host:port``. It is the repo's one replica server: the
+``remote:HOST:PORT`` transport dials a host someone started with
+``repro fleet replicas``, and the ``socket`` transport
+(:class:`~repro.serving.transport.SocketTransport`) spawns one as a
+local child with a fresh per-spawn token. What matters:
 
 - **The server outlives connections.** State is keyed by a *session id*
   the client picks at ``open``: per-replica warm-window state plus a
@@ -15,19 +18,22 @@ subprocess. Differences that matter:
 - **Connect/retry with exponential backoff + jitter.** Transient network
   failures retry up to ``max_retries`` times; only then does ``decode``
   raise :class:`RemoteReplicaError`, which the scheduler turns into
-  errored futures — the session fails loudly, it never hangs.
+  errored futures — the session fails loudly, it never hangs. A
+  malformed request gets a typed ``error`` reply, which the client
+  raises as :class:`RemoteReplicaError` at once.
 - **Health is observable.** ``transport.health`` walks
   ``idle -> connected -> reconnecting -> connected`` (or ``failed``) and
   ``transport.reconnects`` counts successful re-dials; both surface into
   :class:`~repro.serving.slo.GroupReport` / ``ServingReport``.
 
-``decode`` stays synchronous inside the coroutine (no awaits while the
-wire is in flight), the same rule ``SocketTransport`` follows, so
-virtual-clock sessions stay deterministic.
+``decode`` is a plain synchronous call: the virtual clock cannot advance
+while a request is on the wire, so virtual-clock sessions stay
+deterministic.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import secrets
 import socket
@@ -35,7 +41,6 @@ import threading
 import time
 from collections import OrderedDict
 
-from repro.dist.faults import FaultInjector, FaultPlan
 from repro.dist.protocol import (
     MessageIds,
     ProtocolError,
@@ -43,6 +48,7 @@ from repro.dist.protocol import (
     server_handshake,
 )
 from repro.dist.wire import LineSocket, WireClosed
+from repro.faults import FaultInjector, FaultPlan
 from repro.serving.replica import Replica, ReplicaPool
 from repro.sim.runner import FrameLatencyProfile
 
@@ -164,24 +170,13 @@ class RemoteTransport:
         if self.health != "failed":
             self.health = "closed"
 
-    def ping(self) -> bool:
-        """Liveness probe outside the decode path."""
-        if self._conn is None:
-            return False
-        try:
-            reply = self._conn.request(
-                {"type": "ping", "id": self._ids.next()}
-            )
-            return reply.get("type") == "pong"
-        except (OSError, ValueError, WireClosed):
-            return False
-
     # -- the transport protocol -----------------------------------------
-    async def decode(
+    def decode(
         self, replica: Replica, start_ms: float, batch: int
     ) -> tuple[float, ...]:
-        # Synchronous round-trip (no awaits): the virtual clock cannot
-        # advance while the request is on the wire.
+        # The whole round trip, re-dials included, finishes before this
+        # returns: the virtual clock cannot advance while the request is
+        # on the wire.
         assert self._conn is not None, "transport not opened"
         message = {
             "type": "decode",
@@ -234,12 +229,34 @@ class _Session:
         self.replicas: dict[int, Replica] = {}
         self.replies: OrderedDict[int, list[float]] = OrderedDict()
 
+    def check(self, message: dict) -> str | None:
+        """Why a decode request is malformed, or ``None`` if it is sound."""
+        for field in ("id", "replica", "batch"):
+            if type(message.get(field)) is not int:
+                return (
+                    f"decode field {field!r} must be an integer, "
+                    f"got {message.get(field)!r}"
+                )
+        start = message.get("start_ms")
+        if type(start) not in (int, float) or not math.isfinite(start):
+            return (
+                f"decode field 'start_ms' must be a finite number, "
+                f"got {start!r}"
+            )
+        if not 1 <= message["batch"] <= self.max_batch:
+            return (
+                f"batch of {message['batch']} outside replica capacity "
+                f"1..{self.max_batch}"
+            )
+        return None
+
     def decode(self, message: dict) -> list[float]:
-        mid = int(message["id"])
+        """Serve a request that passed :meth:`check`."""
+        mid = message["id"]
         cached = self.replies.get(mid)
         if cached is not None:  # resubmission after a reconnect
             return cached
-        replica_id = int(message["replica"])
+        replica_id = message["replica"]
         replica = self.replicas.get(replica_id)
         if replica is None:
             replica = self.replicas[replica_id] = Replica(
@@ -248,7 +265,7 @@ class _Session:
                 max_batch=self.max_batch,
             )
         finishes = list(
-            replica.service_times(message["start_ms"], int(message["batch"]))
+            replica.service_times(message["start_ms"], message["batch"])
         )
         self.replies[mid] = finishes
         while len(self.replies) > self.REPLY_CACHE:
@@ -269,8 +286,9 @@ def serve_replicas(
 
     Accepts any number of sequential/concurrent client connections;
     session state survives disconnects, which is what makes client-side
-    resubmission idempotent. Prints the bound port on stdout (CLI
-    contract, same as ``SocketTransport``'s child server) and also hands
+    resubmission idempotent. A malformed request gets an ``error`` reply
+    and the connection keeps serving. Prints the bound port on stdout
+    (the line ``SocketTransport`` reads from its child) and also hands
     it to ``ready`` when given (thread-friendly for tests).
     """
     fault = fault or FaultInjector(FaultPlan.from_env())
@@ -308,10 +326,13 @@ def serve_replicas(
                 if kind == "ping":
                     conn.send({"type": "pong", "id": message.get("id")})
                     continue
-                if kind != "decode":
-                    conn.send(
-                        {"type": "error", "error": f"bad request: {kind!r}"}
-                    )
+                problem = (
+                    session.check(message)
+                    if kind == "decode"
+                    else f"bad request: {kind!r}"
+                )
+                if problem is not None:
+                    conn.send({"type": "error", "error": problem})
                     continue
                 with lock:
                     finishes = session.decode(message)

@@ -1,11 +1,11 @@
 """The repo's one wire format: newline-delimited JSON messages.
 
-Every socket in the codebase — the ``SocketTransport`` replica
-subprocess, the fleet coordinator/worker control plane, and the remote
-replica server — frames traffic the same way: one JSON object per line,
-UTF-8, ``\\n``-terminated. ``json`` emits shortest-repr floats, so every
-float round-trips *exactly*; that is what lets a socket-served session
-compute bit-identical finish times to the in-process path.
+Every socket in the codebase — the fleet coordinator/worker control
+plane and the replica server (remote, or spawned locally by the
+``socket`` transport) — frames traffic the same way: one JSON object per
+line, UTF-8, ``\\n``-terminated. ``json`` emits shortest-repr floats, so
+every float round-trips *exactly*; that is what lets a socket-served
+session compute bit-identical finish times to the in-process path.
 
 Payloads that are not JSON-shaped (eval specs, :class:`DseResult`\\ s,
 cache entries) ride inside messages as base64-encoded pickles via
@@ -22,7 +22,7 @@ import socket
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.dist.faults import FaultInjector
+    from repro.faults import FaultInjector
 
 
 class WireClosed(ConnectionError):
@@ -57,7 +57,7 @@ class LineSocket:
 
     Wraps the raw socket with buffered text files and exposes
     ``send(dict)`` / ``recv() -> dict | None`` (``None`` on EOF). An
-    optional :class:`~repro.dist.faults.FaultInjector` can drop or delay
+    optional :class:`~repro.faults.FaultInjector` can drop or delay
     outbound messages — the seam the fault-injection tests use.
     """
 
@@ -104,6 +104,13 @@ class LineSocket:
         return reply
 
     def close(self) -> None:
+        # Shut down first: that wakes a reader blocked in another thread,
+        # which holds the read file's lock until its line arrives, so
+        # closing that file would otherwise wait on the peer forever.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         for handle in (self._rfile, self._wfile, self._sock):
             try:
                 handle.close()

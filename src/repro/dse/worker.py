@@ -24,9 +24,8 @@ The data path is built to move as little as possible between processes:
    :class:`~repro.dse.cache.DeltaEvalCache` and returns the delta (the
    ``(key, solution)`` entries plus solve-time and memo statistics). The
    parent folds deltas into the authoritative cache at the generation
-   barrier. No ``multiprocessing.Manager`` sits on the hot path — the
-   old shared-dict cache paid an IPC round-trip per lookup, which made
-   4-worker searches slower than serial.
+   barrier. Workers never touch the parent's cache, so no lookup pays
+   an IPC round-trip.
 3. **Rehydration** — the parent reassembles every candidate's solutions
    from the cache in submission order and scores them inline (the
    fitness arithmetic is trivial next to Algorithm 2).
@@ -761,8 +760,8 @@ def candidate_runner(
 
     The yielded callable evaluates one generation's positions and returns
     results in submission order — calling it IS the per-generation
-    barrier. ``cache`` is the authoritative store in every mode (local,
-    file-backed, or Manager — the parent is its only writer during the
+    barrier. ``cache`` is the authoritative store in every mode (local
+    or file-backed — the parent is its only writer during the
     search, so no promotion or drain-back dance is needed). ``workers >
     1`` forks a pool for the search's lifetime; a live
     :class:`SweepWorkerPool` takes precedence, and its lifetime belongs

@@ -11,7 +11,8 @@ decode requests from many concurrent avatars under latency SLOs —
 - :mod:`~repro.serving.replica`   — replicas driven by cycle-accurate
   fill/steady-state latency profiles;
 - :mod:`~repro.serving.transport` — how a batch reaches a replica:
-  in-process (default) or a socket-served subprocess;
+  in-process (default), a locally spawned replica server, or a remote
+  one;
 - :mod:`~repro.serving.policies`  — FIFO / deadline-EDF / per-avatar
   fairness batch selection;
 - :mod:`~repro.serving.scheduler` — the async batching dispatcher;

@@ -6,7 +6,7 @@ together coalesce, acquires a free replica from the pool (blocking while
 all replicas are busy — the saturation backpressure), asks the policy for
 the next batch, and hands it to the replica through the group's
 :class:`~repro.serving.transport.ReplicaTransport` (in-process by
-default; a socket-served subprocess for remote replicas). Each frame's
+default; a spawned or remote replica host otherwise). Each frame's
 response is resolved at its own finish time, so callers see per-frame
 latencies, not per-batch ones.
 
@@ -264,10 +264,10 @@ class BatchScheduler:
             if outcome.latency_factor != 1.0 and replica.health == "up":
                 replica.health = "degraded"
         try:
-            finishes = await self.transport.decode(replica, start, len(batch))
+            finishes = self.transport.decode(replica, start, len(batch))
         except BaseException:
-            # A transport error (the socket subprocess dying, a remote
-            # server gone past its reconnect budget) is a *replica*
+            # A transport error (a replica host, spawned or remote,
+            # gone past its reconnect budget) is a *replica*
             # fault, not a session failure: the batch re-enqueues within
             # its retry budget and the damage lands in the report as
             # failed/retry counters and replica health — never a hang,
@@ -290,7 +290,7 @@ class BatchScheduler:
             # charged their full occupancy.
             hedge_replica = self.pool.try_acquire()
         if hedge_replica is not None:
-            hedge_finishes = await self._dispatch_hedge(
+            hedge_finishes = self._dispatch_hedge(
                 hedge_replica, start, len(batch)
             )
             if hedge_finishes is None:
@@ -343,7 +343,7 @@ class BatchScheduler:
                 freed.health = "up"
             self.pool.release(freed)
 
-    async def _dispatch_hedge(
+    def _dispatch_hedge(
         self, hedge: Replica, start: float, size: int
     ) -> tuple[float, ...] | None:
         """Duplicate a batch onto ``hedge``; ``None`` if the hedge died.
@@ -367,7 +367,7 @@ class BatchScheduler:
             if outcome.latency_factor != 1.0 and hedge.health == "up":
                 hedge.health = "degraded"
         try:
-            finishes = await self.transport.decode(hedge, start, size)
+            finishes = self.transport.decode(hedge, start, size)
         except BaseException:
             self._lose_replica_now(hedge)
             return None

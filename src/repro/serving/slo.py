@@ -57,7 +57,7 @@ class GroupReport:
     scale_downs: int = 0
     #: Transport-level reconnections during the session (only a
     #: :class:`~repro.dist.remote_transport.RemoteTransport` can
-    #: reconnect; 0 for in-process and subprocess transports).
+    #: reconnect; 0 for in-process and socket transports).
     reconnects: int = 0
     #: Final transport health ("" for transports that do not track it;
     #: remote transports report ``connected`` / ``closed`` / ``failed``).

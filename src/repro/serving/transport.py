@@ -1,4 +1,4 @@
-"""Replica dispatch behind a protocol: in-process, subprocess, or remote.
+"""Replica dispatch behind a protocol: in-process, local host, or remote.
 
 The scheduler never computes service times itself — it hands a batch to a
 :class:`ReplicaTransport` and gets back per-frame completion times. That
@@ -9,37 +9,56 @@ rewrite of the serving layer:
   :meth:`~repro.serving.replica.Replica.service_times` directly — zero
   overhead, bit-identical to the pre-transport scheduler on the virtual
   clock;
-- :class:`SocketTransport` serves the replicas from a subprocess over a
-  local TCP socket (``python -m repro.serving.transport`` is the server).
-  The server owns the authoritative replica state (warm windows); the
-  client mirrors the accounting on its proxy replicas so utilization
-  reporting still works locally. The round-trip is a synchronous,
-  newline-delimited JSON exchange, so virtual-clock sessions stay
-  deterministic: the event loop blocks (in wall time, not session time)
-  until the answer arrives.
 - :class:`~repro.dist.remote_transport.RemoteTransport` (name
-  ``remote:HOST:PORT``) points the same protocol at a *persistent*
-  replica server on another host, adding auth, reconnection, and request
-  resubmission — see :mod:`repro.dist.remote_transport`.
+  ``remote:HOST:PORT``) talks to a persistent, authenticated replica host
+  (:func:`~repro.dist.remote_transport.serve_replicas`) with
+  reconnection and request resubmission;
+- :class:`SocketTransport` (name ``socket``) spawns that same replica
+  host as a local child process with a fresh per-spawn token and drives
+  it through a :class:`~repro.dist.remote_transport.RemoteTransport`.
 
-Framing lives in :mod:`repro.dist.wire` — the repo's one wire format —
-and round-trips floats exactly (``json`` uses shortest-repr floats), so a
-socket-served session computes the same finish times the in-process path
-would.
+So there is one replica server and one wire format
+(:mod:`repro.dist.wire`), which round-trips floats exactly (``json``
+uses shortest-repr floats): a socket- or remote-served session computes
+the same finish times the in-process path would. Every ``decode`` is a
+plain call that finishes its round trip without suspending, so no
+virtual-clock timer can fire while a request is on the wire.
 """
 
 from __future__ import annotations
 
 import os
-import socket
+import secrets
 import subprocess
 import sys
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-from repro.dist.wire import LineSocket, WireClosed
 from repro.serving.replica import Replica, ReplicaPool
-from repro.sim.runner import FrameLatencyProfile
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.dist.remote_transport import RemoteTransport
+
+#: Environment variable ``remote:`` transports read their auth token from
+#: (and the variable a spawned ``socket`` replica host reads its own from).
+REMOTE_TOKEN_ENV = "REPRO_FLEET_TOKEN"
+
+# The spawned replica host: an explicit empty fault plan (a
+# REPRO_FLEET_FAULT inherited from the parent must not arm it), and a
+# stop on stdin EOF, so the host never outlives the process that spawned
+# it even when that process dies without closing the transport.
+_SOCKET_CHILD = f"""\
+import os, sys, threading
+from repro.dist.remote_transport import serve_replicas
+from repro.faults import FaultInjector, FaultPlan
+stop = threading.Event()
+threading.Thread(target=lambda: (sys.stdin.read(), stop.set()), daemon=True).start()
+raise SystemExit(serve_replicas(
+    token=os.environ[{REMOTE_TOKEN_ENV!r}],
+    fault=FaultInjector(FaultPlan()),
+    stop=stop,
+))
+"""
 
 
 @runtime_checkable
@@ -56,7 +75,7 @@ class ReplicaTransport(Protocol):
         """Tear the session down (kill servers, close sockets)."""
         ...
 
-    async def decode(
+    def decode(
         self, replica: Replica, start_ms: float, batch: int
     ) -> tuple[float, ...]:
         """Serve ``batch`` frames on ``replica`` from ``start_ms``."""
@@ -74,21 +93,25 @@ class InProcessTransport:
     def close(self) -> None:
         return None
 
-    async def decode(
+    def decode(
         self, replica: Replica, start_ms: float, batch: int
     ) -> tuple[float, ...]:
         return replica.service_times(start_ms, batch)
 
 
 class SocketTransport:
-    """Replicas served by a subprocess over a localhost TCP socket.
+    """Replicas served by a locally spawned replica host.
 
-    ``open`` spawns ``python -m repro.serving.transport``, reads the port
-    the server bound, connects, and sends a handshake carrying the pool's
-    latency profile and batch capacity. Every ``decode`` is one
-    request/response line pair. The subprocess holds the authoritative
-    per-replica warm-window state; the local proxy replica only mirrors
-    accounting from the returned finish times.
+    ``open`` spawns a child running
+    :func:`~repro.dist.remote_transport.serve_replicas` on an ephemeral
+    localhost port, reads the port line the child prints, and opens a
+    :class:`~repro.dist.remote_transport.RemoteTransport` session on it.
+    The child's token is fresh per spawn and reaches it through its
+    environment, never argv, so no other local process can use the host.
+    ``close`` ends the session, then terminates the child (the host
+    serves until it is stopped). A child that dies mid-session surfaces
+    as :class:`~repro.dist.remote_transport.RemoteReplicaError` once the
+    remote retry budget is spent.
     """
 
     name = "socket"
@@ -96,100 +119,63 @@ class SocketTransport:
     def __init__(self, timeout_s: float = 30.0) -> None:
         self.timeout_s = timeout_s
         self._proc: subprocess.Popen | None = None
-        self._conn: LineSocket | None = None
+        self._remote: RemoteTransport | None = None
 
     def open(self, pool: ReplicaPool) -> None:
         import repro
+        from repro.dist.remote_transport import RemoteTransport
 
+        token = secrets.token_hex(16)
         env = dict(os.environ)
+        env[REMOTE_TOKEN_ENV] = token
         src_root = str(Path(repro.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src_root, env.get("PYTHONPATH")) if p
         )
-        # -c (not -m): runpy re-executing an already-imported submodule
-        # would warn about unpredictable double execution in the child.
         self._proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-c",
-                "from repro.serving.transport import serve; "
-                "raise SystemExit(serve())",
-            ],
+            [sys.executable, "-c", _SOCKET_CHILD],
+            stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             env=env,
             text=True,
         )
-        assert self._proc.stdout is not None
-        port_line = self._proc.stdout.readline().strip()
-        if not port_line.isdigit():
-            raise RuntimeError(
-                f"replica server failed to start (got {port_line!r})"
+        try:
+            port_line = self._proc.stdout.readline().strip()
+            if not port_line.isdigit():
+                raise RuntimeError(
+                    f"replica server failed to start (got {port_line!r})"
+                )
+            self._remote = RemoteTransport(
+                "127.0.0.1", int(port_line), token=token,
+                timeout_s=self.timeout_s,
             )
-        self._conn = LineSocket.connect(
-            "127.0.0.1", int(port_line), timeout_s=self.timeout_s
-        )
-        profile = pool.profile
-        self._conn.send(
-            {
-                "op": "handshake",
-                "profile": {
-                    "finish_ms": list(profile.finish_ms),
-                    "first_frame_ms": profile.first_frame_ms,
-                    "steady_interval_ms": profile.steady_interval_ms,
-                    "frequency_mhz": profile.frequency_mhz,
-                },
-                "max_batch": pool.max_batch,
-            }
-        )
+            self._remote.open(pool)
+        except BaseException:
+            self.close()
+            raise
 
     def close(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.send({"op": "close"})
-            except (OSError, ValueError):
-                pass
-            self._conn.close()
-            self._conn = None
+        if self._remote is not None:
+            self._remote.close()
+            self._remote = None
         if self._proc is not None:
-            try:
-                self._proc.wait(timeout=self.timeout_s)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
+            self._proc.terminate()
+            self._proc.wait()
+            self._proc.stdin.close()
+            self._proc.stdout.close()
             self._proc = None
 
-    async def decode(
+    def decode(
         self, replica: Replica, start_ms: float, batch: int
     ) -> tuple[float, ...]:
-        # Deliberately synchronous: the whole round-trip happens inside
-        # one event-loop step, so no virtual-clock timer can fire while
-        # the wire is in flight and session ordering stays deterministic.
-        assert self._conn is not None, "transport not opened"
-        try:
-            reply = self._conn.request(
-                {
-                    "op": "decode",
-                    "replica": replica.replica_id,
-                    "start_ms": start_ms,
-                    "batch": batch,
-                }
-            )
-        except WireClosed as exc:
-            raise RuntimeError("replica server exited mid-session") from exc
-        if "error" in reply:
-            raise RuntimeError(f"replica server: {reply['error']}")
-        finishes = tuple(reply["finish_ms"])
-        replica.record_service(start_ms, finishes)
-        return finishes
+        assert self._remote is not None, "transport not opened"
+        return self._remote.decode(replica, start_ms, batch)
 
 
 #: Transport names accepted by :func:`get_transport` (and ``--transport``).
 #: ``remote:HOST:PORT`` — not listed because it carries an address — is
 #: also accepted and builds a :class:`~repro.dist.remote_transport.RemoteTransport`.
 TRANSPORTS = ("inprocess", "socket")
-
-#: Environment variable ``remote:`` transports read their auth token from.
-REMOTE_TOKEN_ENV = "REPRO_FLEET_TOKEN"
 
 
 def parse_remote_spec(name: str) -> tuple[str, int]:
@@ -235,20 +221,17 @@ def get_transport(
     """
     if not isinstance(name, str):
         return name
+    wire = {} if timeout_s is None else {"timeout_s": timeout_s}
     if name == "inprocess":
         return InProcessTransport()
     if name == "socket":
-        if timeout_s is not None:
-            return SocketTransport(timeout_s=timeout_s)
-        return SocketTransport()
+        return SocketTransport(**wire)
     if name.startswith("remote:"):
         from repro.dist.remote_transport import RemoteTransport
 
         host, port = parse_remote_spec(name)
         token = require_fleet_token(f"transport {name!r}")
-        if timeout_s is not None:
-            return RemoteTransport(host, port, token=token, timeout_s=timeout_s)
-        return RemoteTransport(host, port, token=token)
+        return RemoteTransport(host, port, token=token, **wire)
     known = ", ".join(TRANSPORTS + ("remote:HOST:PORT",))
     raise KeyError(
         f"unknown replica transport {name!r}; known transports: {known}"
@@ -257,58 +240,6 @@ def get_transport(
 
 def list_transports() -> list[str]:
     return list(TRANSPORTS)
-
-
-# ---------------------------------------------------------------------------
-# the server side (python -m repro.serving.transport)
-# ---------------------------------------------------------------------------
-def serve(host: str = "127.0.0.1") -> int:
-    """Serve one client connection; prints the bound port on stdout."""
-    listener = socket.create_server((host, 0))
-    print(listener.getsockname()[1], flush=True)
-    raw, _ = listener.accept()
-    listener.close()
-    conn = LineSocket(raw)
-    profile: FrameLatencyProfile | None = None
-    max_batch = 8
-    replicas: dict[int, Replica] = {}
-    try:
-        while True:
-            message = conn.recv()
-            if message is None:
-                break
-            op = message.get("op")
-            if op == "close":
-                break
-            if op == "handshake":
-                raw_profile = message["profile"]
-                profile = FrameLatencyProfile(
-                    finish_ms=tuple(raw_profile["finish_ms"]),
-                    first_frame_ms=raw_profile["first_frame_ms"],
-                    steady_interval_ms=raw_profile["steady_interval_ms"],
-                    frequency_mhz=raw_profile["frequency_mhz"],
-                )
-                max_batch = int(message["max_batch"])
-                replicas.clear()
-                continue
-            if op != "decode" or profile is None:
-                conn.send({"error": f"bad request: {message!r}"})
-                continue
-            replica_id = int(message["replica"])
-            replica = replicas.get(replica_id)
-            if replica is None:
-                replica = replicas[replica_id] = Replica(
-                    replica_id=replica_id,
-                    latency=profile,
-                    max_batch=max_batch,
-                )
-            finishes = replica.service_times(
-                message["start_ms"], int(message["batch"])
-            )
-            conn.send({"finish_ms": list(finishes)})
-    finally:
-        conn.close()
-    return 0
 
 
 __all__ = [
@@ -321,9 +252,5 @@ __all__ = [
     "list_transports",
     "parse_remote_spec",
     "require_fleet_token",
-    "serve",
 ]
 
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(serve())

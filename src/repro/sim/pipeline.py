@@ -21,6 +21,10 @@ class PipelineSimulator:
     identical copies; the runner scales their frame rate by the replica
     count (replica DRAM contention is second-order next to the modeled
     streams and is noted in EXPERIMENTS.md).
+
+    An instance is single-use: :meth:`run` consumes its link credits and
+    DRAM flow state, so a second call raises instead of returning stats
+    corrupted by the first run. Build a fresh simulator per run.
     """
 
     def __init__(
@@ -39,6 +43,7 @@ class PipelineSimulator:
         self.dram = DramChannel(
             bandwidth_gbps=bandwidth_gbps, frequency_mhz=frequency_mhz
         )
+        self._ran = False
 
         terminal_names = {
             pipeline.stages[-1].name for pipeline in plan.branches
@@ -115,6 +120,12 @@ class PipelineSimulator:
             raise TypeError(f"frames must be an int, got {frames!r}")
         if frames < 1:
             raise ValueError("need at least one frame")
+        if self._ran:
+            raise RuntimeError(
+                "PipelineSimulator.run is single-use; build a fresh "
+                "simulator for another run"
+            )
+        self._ran = True
         sims = list(self.stages.values())
         wake = self._wake
         stats = SimStats(frames_requested=frames)

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.devices.fpga import get_device
+from repro.dist.protocol import AuthError, client_handshake
+from repro.dist.remote_transport import RemoteReplicaError, profile_to_wire
+from repro.dist.wire import LineSocket
 from repro.fcad.flow import FCad
 from repro.serving import (
     AdmissionControl,
@@ -22,6 +27,8 @@ from repro.serving import (
     serve_from_results,
     serve_workload,
 )
+from repro.serving.replica import Replica
+from repro.serving.transport import SocketTransport
 from repro.sim.runner import FrameLatencyProfile
 from tests.conftest import make_tiny_decoder
 
@@ -336,6 +343,113 @@ class TestSocketTransport:
         by_name = {group.name: group for group in report.groups}
         assert by_name["latency"].transport == "socket"
         assert by_name["throughput"].transport == "inprocess"
+
+    def test_socket_group_reports_like_inprocess(self):
+        """A clean socket group's GroupReport differs from an in-process
+        one only in its transport name: no health, no reconnects."""
+        workload = tiered_workload(avatars=6, frames_per_avatar=6)
+        reports = {}
+        for transport in ("inprocess", "socket"):
+            groups = [
+                GroupSpec(
+                    "latency", FAST, replicas=1, policy="edf",
+                    batch_window_ms=0.0, max_batch=4, transport=transport,
+                ),
+                GroupSpec("throughput", BIG, replicas=2, policy="fifo"),
+            ]
+            reports[transport] = serve_cluster(
+                groups, workload, router="deadline"
+            )
+        socketed = reports["socket"]
+        latency = socketed.groups[0]
+        assert (latency.transport, latency.health, latency.reconnects) == (
+            "socket", "", 0,
+        )
+        relabelled = dataclasses.replace(
+            socketed,
+            groups=(
+                dataclasses.replace(latency, transport="inprocess"),
+                *socketed.groups[1:],
+            ),
+        )
+        assert relabelled == reports["inprocess"]
+
+    def test_spawned_host_refuses_clients_without_its_token(self):
+        pool = ReplicaPool(FAST, replicas=1, max_batch=4)
+        transport = SocketTransport(timeout_s=5.0)
+        transport.open(pool)
+        try:
+            bare = LineSocket.connect(
+                "127.0.0.1", transport._remote.port, timeout_s=5.0
+            )
+            try:
+                with pytest.raises(AuthError):
+                    client_handshake(
+                        bare,
+                        "",
+                        role="replica-client",
+                        extra={
+                            "session": "intruder",
+                            "profile": profile_to_wire(FAST),
+                            "max_batch": 4,
+                        },
+                    )
+            finally:
+                bare.close()
+            # The refused connection leaves the real session untouched.
+            expected = Replica(0, FAST, max_batch=4).service_times(0.0, 3)
+            assert transport.decode(pool.replicas[0], 0.0, 3) == expected
+        finally:
+            transport.close()
+
+    def test_inherited_fault_plan_does_not_arm_the_child(self, monkeypatch):
+        """The spawned host gets an explicit empty fault plan, so a fault
+        spec in the parent's environment cannot kill it mid-session."""
+        monkeypatch.setenv("REPRO_FLEET_FAULT", "kill-server-after-decodes:1")
+        workload = tiered_workload(avatars=4, frames_per_avatar=6)
+        inproc = serve_workload(
+            ReplicaPool(FAST, replicas=2, max_batch=8), workload, policy="edf"
+        )
+        socketed = serve_workload(
+            ReplicaPool(FAST, replicas=2, max_batch=8),
+            workload,
+            policy="edf",
+            transport="socket",
+        )
+        assert report_to_json(socketed) == report_to_json(inproc)
+
+    def test_child_stops_when_its_spawner_goes_away(self):
+        """The host never outlives the process that spawned it: closing
+        the child's stdin (what that process's exit does) stops it."""
+        transport = SocketTransport(timeout_s=5.0)
+        transport.open(ReplicaPool(FAST, replicas=1, max_batch=4))
+        try:
+            transport._proc.stdin.close()
+            assert transport._proc.wait(timeout=5) == 0
+        finally:
+            transport.close()
+
+    def test_close_leaves_no_live_child(self):
+        transport = SocketTransport(timeout_s=5.0)
+        transport.open(ReplicaPool(FAST, replicas=1, max_batch=4))
+        child = transport._proc
+        assert child.poll() is None
+        transport.close()
+        assert child.poll() is not None
+
+    def test_child_death_is_a_replica_error(self):
+        """A replica host that dies mid-session surfaces as a typed
+        RemoteReplicaError once the retry budget is spent, never a hang."""
+        pool = ReplicaPool(FAST, replicas=1, max_batch=4)
+        transport = SocketTransport(timeout_s=5.0)
+        transport.open(pool)
+        try:
+            transport._proc.kill()
+            transport._proc.wait(timeout=5)
+            with pytest.raises(RemoteReplicaError):
+                transport.decode(pool.replicas[0], 0.0, 1)
+        finally:
+            transport.close()
 
 
 class TestServeFromResults:

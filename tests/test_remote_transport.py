@@ -17,20 +17,22 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.dist.faults import FaultInjector, FaultPlan
 from repro.dist.protocol import AuthError
 from repro.dist.remote_transport import (
+    RemoteReplicaError,
     RemoteTransport,
     profile_from_wire,
     profile_to_wire,
     serve_replicas,
 )
+from repro.faults import FaultInjector, FaultPlan
 from repro.serving import (
     ReplicaPool,
     canned_workload,
     get_transport,
     serve_workload,
 )
+from repro.serving.replica import Replica
 from repro.serving.transport import REMOTE_TOKEN_ENV, parse_remote_spec
 from repro.sim.runner import FrameLatencyProfile
 
@@ -136,6 +138,44 @@ class TestRemoteServing:
         with replica_server(token="right") as port:
             with pytest.raises(AuthError):
                 remote_report(port, token="wrong")
+
+
+class TestMalformedDecode:
+    @pytest.mark.parametrize(
+        "replica_id, start_ms, batch",
+        [
+            ([1], 0.0, 1),
+            (True, 0.0, 1),
+            (0, "x", 1),
+            (0, None, 1),
+            (0, float("nan"), 1),
+            (0, 0.0, "abc"),
+            (0, 0.0, 2.5),
+            (0, 0.0, 0),
+            (0, 0.0, 99),
+        ],
+    )
+    def test_typed_error_and_the_server_keeps_serving(
+        self, replica_id, start_ms, batch, inprocess_report
+    ):
+        """A malformed decode gets an ``error`` reply: the client raises
+        at once (no re-dial), and the connection and the server both
+        keep serving."""
+        with replica_server() as port:
+            transport = RemoteTransport("127.0.0.1", port, token="t")
+            transport.open(ReplicaPool(PROFILE, replicas=1, max_batch=8))
+            try:
+                bad = Replica(replica_id, PROFILE, max_batch=8)
+                with pytest.raises(RemoteReplicaError, match="replica server"):
+                    transport.decode(bad, start_ms, batch)
+                assert transport.reconnects == 0
+                expected = Replica(0, PROFILE).service_times(0.0, 2)
+                good = Replica(0, PROFILE, max_batch=8)
+                assert transport.decode(good, 0.0, 2) == expected
+            finally:
+                transport.close()
+            report, _ = remote_report(port)
+        assert report == inprocess_report
 
 
 class TestRemoteTransportLookup:

@@ -187,6 +187,22 @@ class TestMultiBranch:
         with pytest.raises(ValueError):
             simulator.run(frames=0)
 
+    def test_run_is_single_use(self):
+        """A second run would start from the first run's link credits and
+        DRAM flow state, so it raises instead of returning skewed stats.
+        Calls rejected for their arguments do not use the instance up."""
+        plan, config = chain_setup(depth=2)
+        simulator = PipelineSimulator(plan, config, INT8, 12.8, 200.0)
+        with pytest.raises(ValueError):
+            simulator.run(frames=0)
+        with pytest.raises(TypeError):
+            simulator.run(frames=2.5)
+        stats = simulator.run(frames=3)
+        fresh = PipelineSimulator(plan, config, INT8, 12.8, 200.0).run(frames=3)
+        assert stats == fresh
+        with pytest.raises(RuntimeError, match="single-use"):
+            simulator.run(frames=3)
+
 
 class TestInputValidation:
     def test_negative_warmup_profile(self):

@@ -561,7 +561,7 @@ def run_dist_suite(args: argparse.Namespace) -> int:
     import threading
 
     from repro.dist.coordinator import FleetSpec, run_fleet_sweep
-    from repro.dist.faults import FaultInjector, FaultPlan
+    from repro.faults import FaultInjector, FaultPlan
     from repro.dist.remote_transport import RemoteTransport, serve_replicas
     from repro.dse.engine import DseEngine
     from repro.fcad.flow import sweep_grid

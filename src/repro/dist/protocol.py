@@ -26,6 +26,7 @@ import hashlib
 import hmac
 import itertools
 import secrets
+from typing import Callable
 
 from repro.dist.wire import LineSocket
 
@@ -87,12 +88,17 @@ def client_handshake(
 
 
 def server_handshake(
-    conn: LineSocket, token: str, welcome_extra: dict | None = None
+    conn: LineSocket,
+    token: str,
+    welcome_extra: dict | None = None,
+    check: Callable[[dict], str | None] | None = None,
 ) -> dict:
     """Run the server side; returns the client's hello (with its role).
 
-    Raises :class:`AuthError` / :class:`ProtocolError` after sending the
-    peer a ``{"type": "error"}`` explanation — callers just close.
+    ``check`` names why a hello cannot be served (``None`` if it can);
+    such a hello is refused like a version mismatch. Raises
+    :class:`AuthError` / :class:`ProtocolError` after sending the peer a
+    ``{"type": "error"}`` explanation — callers just close.
     """
     hello = conn.recv()
     if hello is None:
@@ -111,6 +117,10 @@ def server_handshake(
             }
         )
         raise ProtocolError("protocol version mismatch")
+    problem = check(hello) if check is not None else None
+    if problem is not None:
+        conn.send({"type": "error", "error": problem})
+        raise ProtocolError(problem)
     nonce = secrets.token_hex(16)
     conn.send({"type": "challenge", "nonce": nonce})
     auth = conn.recv()

@@ -216,6 +216,46 @@ class RemoteTransport:
 # ---------------------------------------------------------------------------
 # the server side (repro fleet replicas)
 # ---------------------------------------------------------------------------
+def _finite(value) -> bool:
+    """A finite JSON number (``bool`` is not a number on the wire)."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _hello_problem(hello: dict) -> str | None:
+    """Why a replica-client hello cannot open a session, or ``None``."""
+    profile = hello.get("profile")
+    if type(profile) is not dict:
+        return f"hello field 'profile' must be an object, got {profile!r}"
+    finish = profile.get("finish_ms")
+    if type(finish) is not list or not finish or not all(
+        _finite(value) and value >= 0 for value in finish
+    ):
+        return (
+            f"profile 'finish_ms' must be a non-empty list of finite "
+            f"numbers >= 0, got {finish!r}"
+        )
+    for field in ("first_frame_ms", "steady_interval_ms"):
+        value = profile.get(field)
+        if not (_finite(value) and value >= 0):
+            return (
+                f"profile {field!r} must be a finite number >= 0, "
+                f"got {value!r}"
+            )
+    frequency = profile.get("frequency_mhz")
+    if not (_finite(frequency) and frequency > 0):
+        return (
+            f"profile 'frequency_mhz' must be a finite number > 0, "
+            f"got {frequency!r}"
+        )
+    max_batch = hello.get("max_batch")
+    if type(max_batch) is not int or max_batch < 1:
+        return (
+            f"hello field 'max_batch' must be an integer >= 1, "
+            f"got {max_batch!r}"
+        )
+    return None
+
+
 class _Session:
     """Authoritative per-session replica state + reply cache."""
 
@@ -238,7 +278,7 @@ class _Session:
                     f"got {message.get(field)!r}"
                 )
         start = message.get("start_ms")
-        if type(start) not in (int, float) or not math.isfinite(start):
+        if not _finite(start):
             return (
                 f"decode field 'start_ms' must be a finite number, "
                 f"got {start!r}"
@@ -286,8 +326,10 @@ def serve_replicas(
 
     Accepts any number of sequential/concurrent client connections;
     session state survives disconnects, which is what makes client-side
-    resubmission idempotent. A malformed request gets an ``error`` reply
-    and the connection keeps serving. Prints the bound port on stdout
+    resubmission idempotent. A hello whose profile or ``max_batch`` the
+    server cannot serve is refused during the handshake, before any
+    session is cached. A malformed request gets an ``error`` reply and
+    the connection keeps serving. Prints the bound port on stdout
     (the line ``SocketTransport`` reads from its child) and also hands
     it to ``ready`` when given (thread-friendly for tests).
     """
@@ -309,14 +351,14 @@ def serve_replicas(
         with lock:
             live_conns.append(conn)
         try:
-            hello = server_handshake(conn, token)
+            hello = server_handshake(conn, token, check=_hello_problem)
             session_key = str(hello.get("session", ""))
             with lock:
                 session = sessions.get(session_key)
                 if session is None:
                     session = sessions[session_key] = _Session(
                         profile_from_wire(hello["profile"]),
-                        int(hello["max_batch"]),
+                        hello["max_batch"],
                     )
             while not stop.is_set():
                 message = conn.recv()

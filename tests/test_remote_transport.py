@@ -17,7 +17,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.dist.protocol import AuthError
+from repro.dist.protocol import AuthError, ProtocolError, client_handshake
 from repro.dist.remote_transport import (
     RemoteReplicaError,
     RemoteTransport,
@@ -25,6 +25,7 @@ from repro.dist.remote_transport import (
     profile_to_wire,
     serve_replicas,
 )
+from repro.dist.wire import LineSocket
 from repro.faults import FaultInjector, FaultPlan
 from repro.serving import (
     ReplicaPool,
@@ -174,6 +175,78 @@ class TestMalformedDecode:
                 assert transport.decode(good, 0.0, 2) == expected
             finally:
                 transport.close()
+            report, _ = remote_report(port)
+        assert report == inprocess_report
+
+
+WIRE_PROFILE = profile_to_wire(PROFILE)
+
+
+def profile_with(**fields) -> dict:
+    return {"profile": {**WIRE_PROFILE, **fields}}
+
+
+def replica_hello(port: int, extra: dict) -> LineSocket:
+    """Open a raw replica-client connection with the given hello fields."""
+    conn = LineSocket.connect("127.0.0.1", port, timeout_s=5)
+    hello = {"session": "shared", "profile": WIRE_PROFILE, "max_batch": 8}
+    try:
+        client_handshake(
+            conn, "t", role="replica-client", extra={**hello, **extra}
+        )
+    except BaseException:
+        conn.close()
+        raise
+    return conn
+
+
+class TestMalformedHello:
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"profile": [8.0, 12.0]},
+            {"profile": None},
+            profile_with(finish_ms=[]),
+            profile_with(finish_ms="8.0"),
+            profile_with(finish_ms=[8.0, "x"]),
+            profile_with(finish_ms=[-1.0]),
+            profile_with(finish_ms=[float("inf")]),
+            profile_with(first_frame_ms="x"),
+            profile_with(first_frame_ms=float("nan")),
+            profile_with(steady_interval_ms=-4.0),
+            profile_with(frequency_mhz=0.0),
+            profile_with(frequency_mhz=True),
+            {"max_batch": 0},
+            {"max_batch": True},
+            {"max_batch": 2.7},
+            {"max_batch": "8"},
+        ],
+    )
+    def test_refused_before_a_session_is_cached(
+        self, extra, inprocess_report
+    ):
+        """A hello the host cannot serve is refused during the handshake
+        with a typed client error, caches nothing under its session id,
+        and leaves the host serving good clients."""
+        with replica_server() as port:
+            with pytest.raises(ProtocolError, match="server refused"):
+                replica_hello(port, extra)
+            conn = replica_hello(port, {})
+            try:
+                reply = conn.request(
+                    {
+                        "type": "decode",
+                        "id": 1,
+                        "replica": 0,
+                        "start_ms": 0.0,
+                        "batch": 2,
+                    }
+                )
+            finally:
+                conn.close()
+            assert reply["finish_ms"] == list(
+                Replica(0, PROFILE).service_times(0.0, 2)
+            )
             report, _ = remote_report(port)
         assert report == inprocess_report
 

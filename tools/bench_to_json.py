@@ -1,22 +1,26 @@
 #!/usr/bin/env python
 """Run a reduced benchmark suite and emit a machine-readable BENCH_*.json.
 
-Two suites, one per CI smoke job, so the repo's performance trajectory is
-comparable PR over PR:
+Three suites, one per CI smoke job, each compared against its committed
+``BENCH_<suite>.json`` so the repo's performance trajectory is visible
+PR over PR:
 
-- ``--suite dse`` (default) — the DSE convergence study at reduced size,
-  serial vs parallel, written to ``BENCH_dse.json``. Exits nonzero if the
-  parallel run is not bit-identical to the serial one.
-- ``--suite serving`` — the avatar serving layer: explore a design once,
-  deploy simulated replicas, and serve the *same* mixed-deadline workload
-  under FIFO and EDF batching, then push the event-heap engine through a
-  million-avatar diurnal session with autoscaling. Written to
-  ``BENCH_serving.json`` with p99 latency, deadline-miss rate, and
-  throughput per policy plus the engine's scale numbers. Exits nonzero if
-  two sessions at the same seed are not bit-identical (the virtual
-  clock's determinism guarantee), if the heap engine's counters diverge
-  from the coroutine scheduler's on the shared workload, or if the scale
-  session blows its wall-time budget.
+- ``--suite dse`` (default) — the DSE convergence study at reduced size:
+  serial vs parallel (bit-identity, speedup), the batched Algorithm-2
+  kernel microbenchmark, and the surrogate filter's prune/verify modes.
+- ``--suite serving`` — explore two designs, serve one mixed-deadline
+  workload under FIFO, EDF and fair batching, a mixed cluster against
+  homogeneous pools, a replica-loss chaos session, and the event-heap
+  engine through a million-avatar diurnal session with autoscaling.
+- ``--suite dist`` — the fleet runtime: sharded and killed-worker sweeps
+  bit-identical to serial, and remote serving across a forced reconnect.
+
+A suite is a ``setup`` that builds what its sections share plus an
+ordered dict of sections; each section returns its slice of the payload
+and the gates it failed. The driver writes ``BENCH_<suite>.json`` and
+``benchmarks/out/<suite>-smoke.txt``, prints the trajectory against the
+committed file, prints every failed gate as
+``ERROR: <suite>/<section>: <message>`` and exits 1 if there was one.
 
 Run:  PYTHONPATH=src python tools/bench_to_json.py [--suite serving] [--out F]
 (or from anywhere: the script puts ``src/`` on ``sys.path`` itself)
@@ -30,12 +34,27 @@ import os
 import platform
 import sys
 import time
+import traceback
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.experiments.convergence import ConvergenceResult, run_convergence  # noqa: E402
+
+#: Fixed suite parameters, recorded in each payload's ``config``.
+DEVICE = "ZU9CG"
+QUANT = "int8"
+MODEL = "codec_avatar_decoder"
+DSE_OBJECTIVE = "paper"
+DSE_SEARCHES = 2
+SERVING_REPLICAS = 2
+SERVING_MAX_BATCH = 8
+SERVING_FRAMES = 30
+SERVING_AVATAR_FPS = 30.0
 
 
 def physical_core_count() -> int | None:
@@ -77,11 +96,158 @@ def environment() -> dict:
 
 
 # ---------------------------------------------------------------------------
+# the driver
+# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Skip:
+    """A gate that cannot run on this machine or config (not a failure)."""
+
+    gate: str
+    reason: str
+
+
+#: ``run(ctx) -> (payload fields, gates)``; a gate is a failure message
+#: or a :class:`Skip`.
+Section = Callable[[SimpleNamespace], "tuple[dict, list]"]
+
+
+@dataclass(frozen=True)
+class Suite:
+    benchmark: str
+    #: ``setup(args) -> (config, ctx)``: what the sections share.
+    setup: Callable[[argparse.Namespace], "tuple[dict, SimpleNamespace]"]
+    #: Ordered ``name -> run``; each section's fields merge into the payload.
+    sections: dict[str, Section]
+    #: ``(label, dotted JSON path)`` rows compared against the baseline.
+    trajectory: tuple[tuple[str, str], ...]
+
+
+def load_baseline(path: Path, benchmark: str, config: dict) -> dict | None:
+    """The committed payload at ``path`` if it measured this exact run."""
+    try:
+        baseline = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError):
+        return None
+    if baseline.get("benchmark") != benchmark or baseline.get("config") != config:
+        return None
+    return baseline
+
+
+def _lookup(payload: dict | None, path: str):
+    for key in path.split("."):
+        if not isinstance(payload, dict):
+            return None
+        payload = payload.get(key)
+    return payload
+
+
+def _trend(label: str, old, new) -> str:
+    if new is None:
+        return f"  {label}: {old} -> n/a"
+    if old is None:
+        return f"  {label}: {new} (no baseline)"
+    if not old:
+        return f"  {label}: {old} -> {new}"
+    change = 100.0 * (new - old) / old
+    return f"  {label}: {old} -> {new} ({change:+.1f}%)"
+
+
+def compare_to_baseline(
+    baseline: dict, payload: dict, rows: tuple[tuple[str, str], ...]
+) -> tuple[list[str], dict]:
+    """Trajectory lines and ``{key: {"baseline", "now"}}`` deltas."""
+    lines, deltas = [], {}
+    for label, path in rows:
+        old, new = _lookup(baseline, path), _lookup(payload, path)
+        lines.append(_trend(label, old, new))
+        deltas[label.replace(" ", "_")] = {"baseline": old, "now": new}
+    return lines, deltas
+
+
+def run_suite(name: str, args: argparse.Namespace) -> int:
+    """Run one suite's sections; write its JSON and smoke text; gate."""
+    suite = SUITES[name]
+    config, ctx = suite.setup(args)
+    # Always the committed file, whatever --out says; the payload is
+    # written only after this read.
+    ctx.baseline = load_baseline(
+        REPO / f"BENCH_{name}.json", suite.benchmark, config
+    )
+    payload = {
+        "benchmark": suite.benchmark,
+        "config": config,
+        "environment": environment(),
+    }
+    report, tail, failed, skips = [], [], [], []
+    for section, run in suite.sections.items():
+        started = time.perf_counter()
+        try:
+            fields, gates = run(ctx)
+        except Exception as exc:  # a crashed section is a failed gate
+            traceback.print_exc()
+            fields, gates = {}, [f"raised {exc!r}"]
+        payload.update(fields)
+        status = "ok"
+        for gate in gates:
+            if isinstance(gate, Skip):
+                skips.append({"gate": gate.gate, "reason": gate.reason})
+                tail.append(
+                    f"SKIPPED: {name}/{section}: {gate.gate} gate — "
+                    f"{gate.reason}"
+                )
+            else:
+                status = "FAILED"
+                failed.append(f"{section}: {gate}")
+        report.append(
+            f"{name}/{section}: {status} "
+            f"({time.perf_counter() - started:.2f}s)"
+        )
+        print(report[-1], flush=True)
+    payload["gate_skips"] = skips
+    payload["gates"] = failed
+    if ctx.baseline is None:
+        tail.append(
+            f"no comparable committed BENCH_{name}.json baseline "
+            "(first run, or the reduced-size config changed)"
+        )
+    else:
+        lines, payload["baseline_comparison"] = compare_to_baseline(
+            ctx.baseline, payload, suite.trajectory
+        )
+        tail += [f"perf trajectory vs committed BENCH_{name}.json:", *lines]
+    tail += [f"ERROR: {name}/{gate}" for gate in failed]
+    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+    out_dir = REPO / "benchmarks" / "out"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / f"{name}-smoke.txt").write_text(
+        f"### {suite.benchmark} smoke (reduced size)\n"
+        + "\n".join(report + tail)
+        + "\n"
+    )
+    print(f"wrote {args.out}")
+    print("\n".join(tail))
+    return 1 if failed else 0
+
+
+# ---------------------------------------------------------------------------
 # suite: dse
 # ---------------------------------------------------------------------------
 #: How much slower than serial the parallel run may be before the gate
 #: fails (only enforced on multi-core runners).
 SPEEDUP_GATE_TOLERANCE = 1.10
+
+#: Minimum fraction of Algorithm-2 bucket solves the prune-mode
+#: surrogate must skip relative to the surrogate-off run, and the bound
+#: on how far its best fitness may drift from exact.
+SURROGATE_SOLVE_REDUCTION_GATE = 0.30
+SURROGATE_FITNESS_TOLERANCE = 0.01
+
+#: Minimum speedup of the batched Algorithm-2 kernel over the scalar
+#: solver on the committed microbenchmark config, and the stream size the
+#: gate is measured at. The speedup comes from vectorization, not
+#: parallelism, so the gate holds on single-core runners too.
+KERNEL_SPEEDUP_GATE = 2.0
+KERNEL_BUCKETS = 512
 
 
 def summarize(result: ConvergenceResult, wall_seconds: float) -> dict:
@@ -113,105 +279,111 @@ def summarize(result: ConvergenceResult, wall_seconds: float) -> dict:
     }
 
 
-#: Config keys that name the objective layer rather than the search size.
-#: A baseline produced under a different objective/oracle measured a
-#: different amount of work per generation, so its timings are not a
-#: comparable trajectory — the gate is skipped instead of misfiring.
-_OBJECTIVE_KEYS = ("objective", "rerank")
+def _timed_convergence(
+    run_kwargs: dict, **kwargs
+) -> tuple[ConvergenceResult, float]:
+    """One convergence run from cold process-local tables, so every
+    measured run is comparable."""
+    from repro.dse.worker import clear_process_caches
+
+    clear_process_caches()
+    started = time.perf_counter()
+    result = run_convergence(**run_kwargs, **kwargs)
+    return result, time.perf_counter() - started
 
 
-def load_baseline(
-    path: Path, config: dict
-) -> tuple[dict | None, str | None]:
-    """The committed BENCH_dse.json, if it matches this run's config.
+def dse_setup(args: argparse.Namespace) -> tuple[dict, SimpleNamespace]:
+    run_kwargs = dict(
+        device_name=DEVICE,
+        quant_name=QUANT,
+        searches=DSE_SEARCHES,
+        iterations=args.iterations,
+        population=args.population,
+        objective=DSE_OBJECTIVE,
+    )
+    serial, serial_wall = _timed_convergence(run_kwargs, workers=1)
+    ctx = SimpleNamespace(
+        run_kwargs=run_kwargs,
+        workers=args.workers,
+        serial=serial,
+        serial_wall=serial_wall,
+    )
+    return dict(run_kwargs, rerank="none"), ctx
 
-    Returns ``(baseline, objective_mismatch_reason)``: the baseline is
-    ``None`` when there is nothing comparable; the reason is set (and the
-    baseline still ``None``) when the only difference is the objective /
-    re-rank oracle the baseline was produced under.
-    """
-    if not path.exists():
-        return None, None
-    try:
-        baseline = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None, None
-    if baseline.get("benchmark") != "dse_convergence":
-        return None, None
-    base_config = dict(baseline.get("config") or {})
-    # Baselines from before the objective layer were all paper-objective.
-    base_config.setdefault("objective", "paper")
-    base_config.setdefault("rerank", "none")
-    strip = lambda cfg: {  # noqa: E731
-        k: v for k, v in cfg.items() if k not in _OBJECTIVE_KEYS
-    }
-    if strip(base_config) != strip(config):
-        return None, None
-    mismatch = [
-        f"{key}={base_config[key]!r} (baseline) vs {config[key]!r} (this run)"
-        for key in _OBJECTIVE_KEYS
-        if base_config[key] != config[key]
+
+def dse_convergence(ctx: SimpleNamespace) -> tuple[dict, list]:
+    """Parallel vs serial: bit-identity, and speedup on multi-core runners."""
+    parallel, parallel_wall = _timed_convergence(
+        ctx.run_kwargs, workers=ctx.workers
+    )
+    serial, serial_wall = ctx.serial, ctx.serial_wall
+    deterministic = [s.best_fitness for s in serial.searches] == [
+        s.best_fitness for s in parallel.searches
     ]
-    if mismatch:
-        return None, (
-            "baseline was produced under a different objective layer: "
-            + ", ".join(mismatch)
-        )
-    return baseline, None
-
-
-def _trend(label: str, old: float | None, new: float) -> str:
-    if not old:
-        return f"  {label}: {new} (no baseline)"
-    change = 100.0 * (new - old) / old
-    return f"  {label}: {old} -> {new} ({change:+.1f}%)"
-
-
-def compare_to_baseline(
-    baseline: dict | None, payload: dict, objective_note: str | None = None
-) -> dict | None:
-    """Print the perf trajectory vs the committed file; return the deltas."""
-    if baseline is None:
-        if objective_note is not None:
-            print(f"perf trajectory: SKIPPED — {objective_note}")
-        else:
-            print(
-                "no comparable committed BENCH_dse.json baseline "
-                "(first run, or the reduced-size config changed)"
+    gates: list = []
+    if not deterministic:
+        gates.append("parallel search diverged from serial results")
+    if (os.cpu_count() or 1) <= 1:
+        speedup_gate = "skipped"
+        gates.append(
+            Skip(
+                "speedup",
+                "single-core runner, parallel wall time is expected to "
+                "trail serial here",
             )
-        return None
-    print("perf trajectory vs committed BENCH_dse.json:")
-    rows = [
-        (
-            "serial wall s",
-            baseline.get("serial", {}).get("wall_seconds"),
-            payload["serial"]["wall_seconds"],
-        ),
-        (
-            "parallel wall s",
-            baseline.get("parallel", {}).get("wall_seconds"),
-            payload["parallel"]["wall_seconds"],
-        ),
-        ("speedup", baseline.get("speedup"), payload["speedup"]),
-        (
-            "cache hit rate",
-            baseline.get("parallel", {}).get("cache_hit_rate"),
-            payload["parallel"]["cache_hit_rate"],
-        ),
-    ]
-    deltas = {}
-    for label, old, new in rows:
-        print(_trend(label, old, new))
-        key = label.replace(" ", "_")
-        deltas[key] = {"baseline": old, "now": new}
-    return deltas
+        )
+    elif parallel_wall <= serial_wall * SPEEDUP_GATE_TOLERANCE:
+        speedup_gate = "passed"
+    else:
+        speedup_gate = "failed"
+        gates.append(
+            f"speedup gate failed on a multi-core runner "
+            f"({os.cpu_count()} cores): parallel {parallel_wall:.2f}s > "
+            f"serial {serial_wall:.2f}s x {SPEEDUP_GATE_TOLERANCE}"
+        )
+    return {
+        "serial": summarize(serial, serial_wall),
+        "parallel": summarize(parallel, parallel_wall),
+        "speedup": round(serial_wall / parallel_wall, 3)
+        if parallel_wall > 0
+        else None,
+        "deterministic": deterministic,
+        "speedup_gate": speedup_gate,
+    }, gates
 
 
-#: Minimum fraction of Algorithm-2 bucket solves the prune-mode
-#: surrogate must skip relative to the surrogate-off run, and the bound
-#: on how far its best fitness may drift from exact.
-SURROGATE_SOLVE_REDUCTION_GATE = 0.30
-SURROGATE_FITNESS_TOLERANCE = 0.01
+def dse_kernel(ctx: SimpleNamespace) -> tuple[dict, list]:
+    """The batched-kernel microbenchmark: identity and speedup gates.
+
+    Replays a generation-shaped stream of budget buckets through the
+    scalar solver and the batched kernel (``benchmarks/bench_inbranch``).
+    The solutions must be byte-for-byte identical, and the batched pass
+    must beat the scalar loop by ``KERNEL_SPEEDUP_GATE``.
+    """
+    sys.path.insert(0, str(REPO / "benchmarks"))
+    from bench_inbranch import run_microbench
+
+    section = run_microbench(
+        buckets_per_branch=KERNEL_BUCKETS,
+        seed=0,
+        device_name=DEVICE,
+        quant_name=QUANT,
+    )
+    gates = []
+    if not section["identical"]:
+        gates.append(
+            "batched kernel solutions are not byte-identical to the "
+            "scalar solver's"
+        )
+    if not section["speedup"] or section["speedup"] < KERNEL_SPEEDUP_GATE:
+        gates.append(
+            f"batched kernel speedup {section['speedup']}x is below the "
+            f"{KERNEL_SPEEDUP_GATE}x gate "
+            f"(scalar {section['scalar_seconds']}s vs batched "
+            f"{section['batched_seconds']}s)"
+        )
+    section.update(speedup_gate=KERNEL_SPEEDUP_GATE, gates=gates)
+    return {"kernel": section}, gates
 
 
 def _surrogate_run_fields(result: ConvergenceResult, wall: float) -> dict:
@@ -226,28 +398,25 @@ def _surrogate_run_fields(result: ConvergenceResult, wall: float) -> dict:
     }
 
 
-def run_surrogate_section(
-    run_kwargs: dict, serial: ConvergenceResult
-) -> tuple[dict, list[str]]:
+def dse_surrogate(ctx: SimpleNamespace) -> tuple[dict, list]:
     """Surrogate modes vs the exact (surrogate-off) serial run.
 
-    Four hard gates: prune mode must skip at least 30% of the off run's
-    Algorithm-2 bucket solves while landing within 1% of its best
-    fitness; two prune runs at one seed must be bit-identical; verify
-    mode must reproduce the off run's per-search best fitness and design
-    exactly.
+    Prune mode must skip at least 30% of the off run's Algorithm-2 bucket
+    solves while landing within 1% of its best fitness, and two prune
+    runs at one seed must be bit-identical; verify mode must reproduce
+    the off run's per-search best fitness and design exactly; and the off
+    run itself must match the committed baseline's per-search fitness.
     """
-    from repro.dse.worker import clear_process_caches
-
-    def timed(mode):
-        clear_process_caches()
-        started = time.perf_counter()
-        result = run_convergence(**run_kwargs, workers=1, surrogate=mode)
-        return result, time.perf_counter() - started
-
-    prune, prune_wall = timed("prune")
-    prune_again, _ = timed("prune")
-    verify, verify_wall = timed("verify")
+    serial = ctx.serial
+    prune, prune_wall = _timed_convergence(
+        ctx.run_kwargs, workers=1, surrogate="prune"
+    )
+    prune_again, _ = _timed_convergence(
+        ctx.run_kwargs, workers=1, surrogate="prune"
+    )
+    verify, verify_wall = _timed_convergence(
+        ctx.run_kwargs, workers=1, surrogate="verify"
+    )
 
     off_evals = serial.total_evaluations
     reduction = (
@@ -267,8 +436,14 @@ def run_surrogate_section(
     verify_identical = [
         (s.best_fitness, s.best_config) for s in verify.searches
     ] == [(s.best_fitness, s.best_config) for s in serial.searches]
+    # The surrogate machinery sits on the eval path, and "off" promises
+    # that path is untouched: the off run stays on the committed
+    # trajectory.
+    base_fitness = _lookup(ctx.baseline, "serial.best_fitness_per_search")
+    off_fitness = [s.best_fitness for s in serial.searches]
+    off_identical = None if base_fitness is None else base_fitness == off_fitness
 
-    gates = []
+    gates: list = []
     if reduction < SURROGATE_SOLVE_REDUCTION_GATE:
         gates.append(
             f"prune mode skipped only {reduction:.1%} of Algorithm-2 "
@@ -293,6 +468,11 @@ def run_surrogate_section(
             f"verify mode solved more buckets than surrogate-off "
             f"({verify.total_evaluations} > {off_evals})"
         )
+    if off_identical is False:
+        gates.append(
+            f"surrogate-off serial run diverged from the committed "
+            f"baseline ({base_fitness} -> {off_fitness})"
+        )
 
     section = {
         "off_evaluations": off_evals,
@@ -305,223 +485,15 @@ def run_surrogate_section(
         "prune_deterministic": prune_deterministic,
         "verify_identical_to_off": verify_identical,
         "gates": gates,
+        "off_identical_to_baseline": off_identical,
     }
-    return section, gates
-
-
-#: Minimum speedup of the batched Algorithm-2 kernel over the scalar
-#: solver on the committed microbenchmark config, and the stream size the
-#: gate is measured at. The speedup comes from vectorization, not
-#: parallelism, so the gate holds on single-core runners too.
-KERNEL_SPEEDUP_GATE = 2.0
-KERNEL_BUCKETS = 512
-
-
-def run_kernel_section(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    """The batched-kernel microbenchmark: identity and speedup gates.
-
-    Replays a generation-shaped stream of budget buckets through the
-    scalar solver and the batched kernel (``benchmarks/bench_inbranch``).
-    Two hard gates: the solutions must be byte-for-byte identical, and
-    the batched pass must beat the scalar loop by ``KERNEL_SPEEDUP_GATE``.
-    """
-    sys.path.insert(0, str(REPO / "benchmarks"))
-    from bench_inbranch import run_microbench
-
-    section = run_microbench(
-        buckets_per_branch=KERNEL_BUCKETS,
-        seed=0,
-        device_name=args.device,
-        quant_name=args.quant,
-    )
-    section["speedup_gate"] = KERNEL_SPEEDUP_GATE
-    gates = []
-    if not section["identical"]:
-        gates.append(
-            "batched kernel solutions are not byte-identical to the "
-            "scalar solver's"
+    skips = [
+        Skip(
+            "surrogate-off-baseline-identity",
+            "no comparable committed baseline",
         )
-    if not section["speedup"] or section["speedup"] < KERNEL_SPEEDUP_GATE:
-        gates.append(
-            f"batched kernel speedup {section['speedup']}x is below the "
-            f"{KERNEL_SPEEDUP_GATE}x gate "
-            f"(scalar {section['scalar_seconds']}s vs batched "
-            f"{section['batched_seconds']}s)"
-        )
-    section["gates"] = gates
-    return section, gates
-
-
-def run_dse_suite(args: argparse.Namespace) -> int:
-    run_kwargs = dict(
-        device_name=args.device,
-        quant_name=args.quant,
-        searches=args.searches,
-        iterations=args.iterations,
-        population=args.population,
-        objective=args.objective,
-    )
-    config = dict(run_kwargs, rerank="none")
-    # Read the committed baseline before this run overwrites it.
-    baseline, objective_note = load_baseline(Path(args.out), config)
-
-    # Each measured run starts from cold process-local tables, so the
-    # serial and parallel numbers are comparable.
-    from repro.dse.worker import clear_process_caches
-
-    clear_process_caches()
-    started = time.perf_counter()
-    serial = run_convergence(**run_kwargs, workers=1)
-    serial_wall = time.perf_counter() - started
-
-    clear_process_caches()
-    started = time.perf_counter()
-    parallel = run_convergence(**run_kwargs, workers=args.workers)
-    parallel_wall = time.perf_counter() - started
-
-    deterministic = [s.best_fitness for s in serial.searches] == [
-        s.best_fitness for s in parallel.searches
-    ]
-
-    # Gates that cannot run on this machine/config land here as
-    # machine-readable records instead of stringly-typed gate values.
-    gate_skips: list[dict] = []
-    multi_core = (os.cpu_count() or 1) > 1
-    if objective_note is not None:
-        gate = "skipped"
-        gate_skips.append({"gate": "speedup", "reason": objective_note})
-        print(f"speedup gate: SKIPPED — {objective_note}")
-    elif not multi_core:
-        gate = "skipped"
-        reason = (
-            "single-core runner, parallel wall time is expected to "
-            "trail serial here"
-        )
-        gate_skips.append({"gate": "speedup", "reason": reason})
-        print(f"speedup gate: SKIPPED — {reason}")
-    elif parallel_wall <= serial_wall * SPEEDUP_GATE_TOLERANCE:
-        gate = "passed"
-    else:
-        gate = "failed"
-
-    kernel_section, kernel_gates = run_kernel_section(args)
-
-    surrogate_section, surrogate_gates = run_surrogate_section(
-        run_kwargs, serial
-    )
-    # The off run itself must stay on the committed trajectory: the
-    # surrogate machinery sits on the eval path, and "off" promises that
-    # path is untouched.
-    off_identical = None
-    if baseline is not None:
-        base_fitness = baseline.get("serial", {}).get(
-            "best_fitness_per_search"
-        )
-        if base_fitness is not None:
-            off_identical = base_fitness == [
-                s.best_fitness for s in serial.searches
-            ]
-            if not off_identical:
-                surrogate_gates.append(
-                    f"surrogate-off serial run diverged from the committed "
-                    f"baseline ({base_fitness} -> "
-                    f"{[s.best_fitness for s in serial.searches]})"
-                )
-    if off_identical is None:
-        gate_skips.append(
-            {
-                "gate": "surrogate-off-baseline-identity",
-                "reason": "no comparable committed baseline",
-            }
-        )
-    surrogate_section["off_identical_to_baseline"] = off_identical
-
-    payload = {
-        "benchmark": "dse_convergence",
-        "config": config,
-        "environment": environment(),
-        "serial": summarize(serial, serial_wall),
-        "parallel": summarize(parallel, parallel_wall),
-        "speedup": round(serial_wall / parallel_wall, 3)
-        if parallel_wall > 0
-        else None,
-        "deterministic": deterministic,
-        "speedup_gate": gate,
-        "gate_skips": gate_skips,
-        "kernel": kernel_section,
-        "surrogate": surrogate_section,
-    }
-    payload["baseline_comparison"] = compare_to_baseline(
-        baseline, payload, objective_note
-    )
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-
-    # Archive the rendered table next to the pytest-benchmark artifacts.
-    out_dir = REPO / "benchmarks" / "out"
-    out_dir.mkdir(exist_ok=True)
-    (out_dir / "dse-convergence-smoke.txt").write_text(
-        f"### DSE convergence smoke (reduced size)\n{parallel.render()}\n"
-        f"serial {serial_wall:.2f}s -> parallel x{args.workers} "
-        f"{parallel_wall:.2f}s (speedup {payload['speedup']}, "
-        f"gate {gate})\n"
-    )
-
-    print(f"wrote {args.out}")
-    print(
-        f"serial {serial_wall:.2f}s, parallel x{args.workers} "
-        f"{parallel_wall:.2f}s, speedup {payload['speedup']}, "
-        f"cache hit rate {payload['parallel']['cache_hit_rate']:.1%}, "
-        f"deterministic={deterministic}"
-    )
-    serial_phases = payload["serial"]["phases"]
-    parallel_phases = payload["parallel"]["phases"]
-    print(
-        f"phases (serial): eval {serial_phases['eval_seconds']}s, cache "
-        f"{serial_phases['cache_seconds']}s | (parallel): eval "
-        f"{parallel_phases['eval_seconds']}s, cache "
-        f"{parallel_phases['cache_seconds']}s, pool overhead "
-        f"{parallel_phases['pool_overhead_seconds']}s"
-    )
-    kernel_phases = kernel_section["batched_phases"]
-    print(
-        f"kernel: scalar {kernel_section['scalar_seconds']}s -> batched "
-        f"{kernel_section['batched_seconds']}s (x{kernel_section['speedup']},"
-        f" gate x{KERNEL_SPEEDUP_GATE}) over "
-        f"{kernel_section['buckets_per_branch']} buckets/branch; ladder "
-        f"{kernel_phases['ladder_seconds']}s, growth "
-        f"{kernel_phases['growth_seconds']}s, measure "
-        f"{kernel_phases['measure_seconds']}s, "
-        f"identical={kernel_section['identical']}"
-    )
-    print(
-        f"surrogate: prune skipped "
-        f"{surrogate_section['solve_reduction']:.1%} of "
-        f"{surrogate_section['off_evaluations']} solves "
-        f"({surrogate_section['prune']['pruned_candidates']} candidates, "
-        f"{surrogate_section['prune']['false_prunes']} false prunes), "
-        f"fitness drift {surrogate_section['fitness_drift']:.2%}; verify "
-        f"identical={surrogate_section['verify_identical_to_off']}, "
-        f"prune deterministic={surrogate_section['prune_deterministic']}"
-    )
-    if not deterministic:
-        print("ERROR: parallel search diverged from serial results")
-        return 1
-    if gate == "failed":
-        print(
-            f"ERROR: speedup gate failed on a multi-core runner "
-            f"({os.cpu_count()} cores): parallel {parallel_wall:.2f}s > "
-            f"serial {serial_wall:.2f}s x {SPEEDUP_GATE_TOLERANCE}"
-        )
-        return 1
-    if kernel_gates:
-        for failed in kernel_gates:
-            print(f"ERROR: kernel gate failed: {failed}")
-        return 1
-    if surrogate_gates:
-        for failed in surrogate_gates:
-            print(f"ERROR: surrogate gate failed: {failed}")
-        return 1
-    return 0
+    ] if off_identical is None else []
+    return {"surrogate": section}, gates + skips
 
 
 # ---------------------------------------------------------------------------
@@ -536,80 +508,102 @@ DIST_WALL_BUDGET_S = 120.0
 DIST_SWEEP_DEVICES = ("Z7045", "ZU9CG")
 
 
-def _dist_result_fields(result) -> dict:
-    return {
-        "best_fitness": result.best_fitness,
-        "history": list(result.history),
-    }
-
-
-def run_dist_suite(args: argparse.Namespace) -> int:
-    """The distributed fleet runtime: identity, loss-lessness, reconnects.
-
-    Four gates, all hard failures:
-
-    - a sweep sharded across 2 spawned worker processes over loopback is
-      bit-identical to solving the same cases serially in-process;
-    - killing a worker mid-sweep (deterministic ``die-after-leases:1``
-      fault) re-leases its shard and still merges bit-identically;
-    - the whole fleet sweep stays inside its wall-time budget;
-    - serving through ``RemoteTransport`` with a forced mid-session
-      disconnect reconnects (``reconnects == 1``) and reports the same
-      SLOs as in-process serving, bit for bit.
-    """
-    import dataclasses
-    import threading
-
-    from repro.dist.coordinator import FleetSpec, run_fleet_sweep
-    from repro.faults import FaultInjector, FaultPlan
-    from repro.dist.remote_transport import RemoteTransport, serve_replicas
+def dist_setup(args: argparse.Namespace) -> tuple[dict, SimpleNamespace]:
     from repro.dse.engine import DseEngine
     from repro.fcad.flow import sweep_grid
     from repro.models.zoo import get_model
-    from repro.serving import ReplicaPool, canned_workload, serve_workload
 
-    network = get_model(args.model)
     flows = sweep_grid(
-        networks=[network], devices=list(DIST_SWEEP_DEVICES), quants=["int8"]
+        networks=[get_model(MODEL)],
+        devices=list(DIST_SWEEP_DEVICES),
+        quants=["int8"],
     )
     engines = [flow.prepare()[2] for flow in flows]
     size = dict(iterations=args.iterations, population=args.population, seed=0)
-
+    config = {
+        "model": MODEL,
+        "devices": list(DIST_SWEEP_DEVICES),
+        "quant": "int8",
+        "iterations": args.iterations,
+        "population": args.population,
+        "workers": 2,
+    }
     serial = DseEngine.search_many(engines, **size)
+    return config, SimpleNamespace(engines=engines, size=size, serial=serial)
+
+
+def dist_fleet(ctx: SimpleNamespace) -> tuple[dict, list]:
+    """A sweep sharded over 2 spawned workers, clean and with one killed
+    mid-sweep: both merge bit-identical to the serial sweep, the killed
+    worker's shard is re-leased, and the clean sweep fits its budget."""
+    from repro.dist.coordinator import FleetSpec, run_fleet_sweep
 
     def fleet_run(worker_faults=()):
         stats: dict[str, int] = {}
         started = time.perf_counter()
         results = run_fleet_sweep(
-            engines,
+            ctx.engines,
             FleetSpec(
                 workers=2,
                 token="bench",
                 timeout_s=DIST_WALL_BUDGET_S,
                 worker_faults=worker_faults,
             ),
-            **size,
+            **ctx.size,
             stats=stats,
         )
-        return results, stats, time.perf_counter() - started
-
-    clean, clean_stats, clean_wall = fleet_run()
-    killed, killed_stats, killed_wall = fleet_run(
-        worker_faults=("die-after-leases:1",)
-    )
-
-    def identical(results) -> bool:
-        return all(
+        identical = all(
             fleet.best_fitness == base.best_fitness
             and fleet.best_config == base.best_config
             and fleet.history == base.history
-            for fleet, base in zip(results, serial)
+            for fleet, base in zip(results, ctx.serial)
         )
+        wall = time.perf_counter() - started
+        return {
+            "wall_seconds": round(wall, 3),
+            "stats": stats,
+            "identical_to_serial": identical,
+        }
 
-    sharded_identical = identical(clean)
-    killed_identical = identical(killed)
+    clean = fleet_run()
+    killed = fleet_run(worker_faults=("die-after-leases:1",))
 
-    # Remote serving with a forced mid-session disconnect.
+    gates = []
+    if not clean["identical_to_serial"]:
+        gates.append("sharded sweep diverged from the serial results")
+    if not killed["identical_to_serial"]:
+        gates.append("sweep with a killed worker diverged from serial")
+    if killed["stats"].get("releases", 0) < 1:
+        gates.append(
+            "the killed worker's shard was never re-leased "
+            f"(stats: {killed['stats']})"
+        )
+    if clean["wall_seconds"] >= DIST_WALL_BUDGET_S:
+        gates.append(
+            f"fleet sweep took {clean['wall_seconds']:.1f}s "
+            f"(budget {DIST_WALL_BUDGET_S:.0f}s)"
+        )
+    return {
+        "serial": [
+            {"best_fitness": r.best_fitness, "history": list(r.history)}
+            for r in ctx.serial
+        ],
+        "fleet": clean,
+        "fleet_with_killed_worker": killed,
+        "wall_budget_seconds": DIST_WALL_BUDGET_S,
+    }, gates
+
+
+def dist_remote_serving(ctx: SimpleNamespace) -> tuple[dict, list]:
+    """Serving through ``RemoteTransport`` with a forced mid-session
+    disconnect reconnects exactly once and reports the same SLOs as
+    in-process serving, bit for bit."""
+    import dataclasses
+    import threading
+
+    from repro.dist.remote_transport import RemoteTransport, serve_replicas
+    from repro.faults import FaultInjector, FaultPlan
+    from repro.serving import ReplicaPool, canned_workload, serve_workload
     from repro.sim.runner import FrameLatencyProfile
 
     profile = FrameLatencyProfile(
@@ -652,106 +646,92 @@ def run_dist_suite(args: argparse.Namespace) -> int:
         backoff_s=0.01,
         backoff_max_s=0.05,
     )
-    remote = serve_workload(
-        ReplicaPool(profile, replicas=2, max_batch=8),
-        workload,
-        policy="edf",
-        transport=transport,
-    )
-    stop.set()
-    server.join(timeout=10)
-    remote_identical = (
-        dataclasses.replace(remote, reconnects=0) == inprocess
-    )
+    try:
+        remote = serve_workload(
+            ReplicaPool(profile, replicas=2, max_batch=8),
+            workload,
+            policy="edf",
+            transport=transport,
+        )
+    finally:
+        stop.set()
+        server.join(timeout=10)
+    identical = dataclasses.replace(remote, reconnects=0) == inprocess
 
     gates = []
-    if not sharded_identical:
-        gates.append("sharded sweep diverged from the serial results")
-    if not killed_identical:
-        gates.append("sweep with a killed worker diverged from serial")
-    if killed_stats.get("releases", 0) < 1:
-        gates.append(
-            "the killed worker's shard was never re-leased "
-            f"(stats: {killed_stats})"
-        )
-    if clean_wall >= DIST_WALL_BUDGET_S:
-        gates.append(
-            f"fleet sweep took {clean_wall:.1f}s "
-            f"(budget {DIST_WALL_BUDGET_S:.0f}s)"
-        )
     if transport.reconnects != 1:
         gates.append(
             f"forced disconnect produced {transport.reconnects} reconnects "
             f"(expected exactly 1)"
         )
-    if not remote_identical:
+    if not identical:
         gates.append(
             "remote serving report diverged from in-process after the "
             "forced reconnect"
         )
-
-    payload = {
-        "benchmark": "distributed_fleet",
-        "config": {
-            "model": args.model,
-            "devices": list(DIST_SWEEP_DEVICES),
-            "quant": "int8",
-            "iterations": args.iterations,
-            "population": args.population,
-            "workers": 2,
-        },
-        "environment": environment(),
-        "serial": [_dist_result_fields(result) for result in serial],
-        "fleet": {
-            "wall_seconds": round(clean_wall, 3),
-            "stats": clean_stats,
-            "identical_to_serial": sharded_identical,
-        },
-        "fleet_with_killed_worker": {
-            "wall_seconds": round(killed_wall, 3),
-            "stats": killed_stats,
-            "identical_to_serial": killed_identical,
-        },
+    return {
         "remote_serving": {
             "reconnects": transport.reconnects,
-            "report_identical_modulo_reconnects": remote_identical,
+            "report_identical_modulo_reconnects": identical,
             "completed": remote.completed,
             "deadline_misses": remote.deadline_misses,
-        },
-        "wall_budget_seconds": DIST_WALL_BUDGET_S,
-        "gates": gates,
-    }
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-
-    out_dir = REPO / "benchmarks" / "out"
-    out_dir.mkdir(exist_ok=True)
-    (out_dir / "dist-smoke.txt").write_text(
-        f"### Distributed fleet smoke (reduced size)\n"
-        f"clean fleet: {clean_stats}\n"
-        f"killed-worker fleet: {killed_stats}\n"
-        f"remote serving reconnects: {transport.reconnects}\n"
-    )
-
-    print(f"wrote {args.out}")
-    print(
-        f"fleet sweep over {len(engines)} shards x 2 workers: "
-        f"clean {clean_wall:.2f}s "
-        f"({clean_stats['leases']} leases), killed-worker "
-        f"{killed_wall:.2f}s ({killed_stats['releases']} re-leased), "
-        f"identical={sharded_identical and killed_identical}"
-    )
-    print(
-        f"remote serving: {transport.reconnects} reconnect(s), "
-        f"identical={remote_identical}"
-    )
-    for gate in gates:
-        print(f"ERROR: dist gate failed: {gate}")
-    return 1 if gates else 0
+        }
+    }, gates
 
 
 # ---------------------------------------------------------------------------
 # suite: serving
 # ---------------------------------------------------------------------------
+#: Policies served on the suite's shared workload.
+POLICIES = ("fifo", "edf", "fair")
+
+#: The busiest replica's utilization must exceed this on the shared
+#: workload (~85% of pool capacity) under every policy.
+UTILIZATION_FLOOR = 0.5
+
+#: Fixed total replica budget of the mixed-vs-homogeneous comparison.
+CLUSTER_BUDGET = 6
+
+#: Saturation of the cluster benchmark workload (offered / pool capacity).
+#: Slightly past capacity on purpose: this is the regime the cluster
+#: architecture exists for — EDF on a shared pool starts serving stale
+#: deadlines, while tiering isolates the tight tier and shedding keeps
+#: the accepted share inside its budgets.
+CLUSTER_SATURATION = 1.05
+
+#: Overload factor of the load-shedding session.
+SHED_OVERLOAD = 1.5
+
+#: The chaos benchmark: a five-replica cluster whose entire latency tier
+#: (1 of 5 replicas — 20% of the fleet) dies mid-session, with no
+#: admission control so the damage cannot hide behind shedding. The
+#: shielded run (retries + failover + replacement) must hold its
+#: combined deadline-miss + failure rate within 2x of the fault-free
+#: run; the unshielded run (no retries, no replacement) eats the dead
+#: replica's in-flight frames as failures and then runs the rest of the
+#: session past capacity, so its misses grow without bound.
+CHAOS_BUDGET = 5
+CHAOS_SATURATION = 0.85
+CHAOS_KILL = "die-at:latency/0:250"
+CHAOS_REPLACE_AFTER_MS = 80.0
+#: Absolute floor on the shielded bound so a fault-free run that misses
+#: nothing does not demand a literally perfect faulty run.
+CHAOS_DEGRADED_FLOOR = 0.02
+
+#: Size of the event-heap engine's scale session: one million avatars on
+#: a slow periodic refresh over a two-minute diurnal session — ~1.1M
+#: requests, the population the engine exists to serve in one process.
+ENGINE_AVATARS = 1_000_000
+ENGINE_DURATION_S = 120.0
+ENGINE_AVATAR_FPS = 1.0 / 60.0
+ENGINE_MAX_REPLICAS = 64
+
+#: The engine's wall-time budget for the full scale session (seconds) and
+#: the floor on simulated requests per wall-clock second.
+ENGINE_WALL_BUDGET_S = 60.0
+ENGINE_THROUGHPUT_FLOOR = 30_000.0
+
+
 def summarize_serving(report) -> dict:
     payload = {
         "completed": report.completed,
@@ -784,23 +764,232 @@ def summarize_serving(report) -> dict:
     return payload
 
 
-#: Fixed total replica budget of the mixed-vs-homogeneous comparison.
-CLUSTER_BUDGET = 6
+def summarize_chaos(report) -> dict:
+    payload = summarize_serving(report)
+    payload.update(
+        {
+            "failed": report.failed,
+            "failed_rate": round(report.failed_rate, 4),
+            "retries": report.retries,
+            "hedges": report.hedges,
+            "failovers": report.failovers,
+            "replicas_lost": report.replicas_lost,
+            "replicas_replaced": report.replicas_replaced,
+            "degraded_time_ms": round(report.degraded_time_ms, 3),
+        }
+    )
+    return payload
 
-#: Saturation of the cluster benchmark workload (offered / pool capacity).
-#: Slightly past capacity on purpose: this is the regime the cluster
-#: architecture exists for — EDF on a shared pool starts serving stale
-#: deadlines, while tiering isolates the tight tier and shedding keeps
-#: the accepted share inside its budgets.
-CLUSTER_SATURATION = 1.05
 
-#: Overload factor of the load-shedding session.
-SHED_OVERLOAD = 1.5
+def _design_fields(result, profile) -> dict:
+    return {
+        "steady_fps": round(result.fps, 2),
+        "first_frame_ms": round(profile.first_frame_ms, 3),
+        "steady_interval_ms": round(profile.steady_interval_ms, 3),
+    }
 
 
-def _cluster_workload(
-    profile, saturation: float, seed: int = 0, budget: int = CLUSTER_BUDGET
-):
+def serving_setup(args: argparse.Namespace) -> tuple[dict, SimpleNamespace]:
+    """Explore the latency design and its big-batch twin; size the
+    shared workload off the latency design's measured capacity."""
+    from repro.devices.fpga import get_device
+    from repro.dse.space import Customization
+    from repro.fcad.flow import FCad
+    from repro.models.zoo import get_model
+    from repro.serving import saturation_workload
+
+    network = get_model(MODEL)
+
+    def explore(customization=None):
+        result = FCad(
+            network=network,
+            device=get_device(DEVICE),
+            quant=QUANT,
+            customization=customization,
+        ).run(
+            iterations=args.iterations,
+            population=args.population,
+            seed=0,
+            workers=1,
+        )
+        return result, result.frame_latency_profile(frames=8)
+
+    result, profile = explore()
+    # The throughput tier of the mixed cluster: the same flow under a
+    # big-batch customization (the paper's knob that actually changes the
+    # architecture — here per-branch batch 2, which doubles the cold fill
+    # while holding the steady rate).
+    branches = len(network.output_names())
+    throughput_result, throughput_profile = explore(
+        Customization(
+            batch_sizes=(2,) * branches, priorities=(1.0,) * branches
+        )
+    )
+    workload = saturation_workload(
+        profile,
+        replicas=SERVING_REPLICAS,
+        avatar_fps=SERVING_AVATAR_FPS,
+        frames_per_avatar=SERVING_FRAMES,
+    )
+    config = {
+        "model": MODEL,
+        "device": DEVICE,
+        "quant": QUANT,
+        "iterations": args.iterations,
+        "population": args.population,
+        "replicas": SERVING_REPLICAS,
+        "max_batch": SERVING_MAX_BATCH,
+        "avatars": workload.avatars,
+        "frames_per_avatar": SERVING_FRAMES,
+        "avatar_fps": SERVING_AVATAR_FPS,
+        "deadline_tiers_ms": list(workload.deadline_tiers),
+    }
+    return config, SimpleNamespace(
+        result=result,
+        profile=profile,
+        throughput_result=throughput_result,
+        throughput_profile=throughput_profile,
+        workload=workload,
+    )
+
+
+def _serve(ctx: SimpleNamespace, policy: str):
+    """The shared workload on a fresh pool of the latency design."""
+    from repro.serving import serve_workload
+
+    return serve_workload(_pool(ctx), ctx.workload, policy=policy)
+
+
+def _pool(ctx: SimpleNamespace):
+    from repro.serving import ReplicaPool
+
+    return ReplicaPool(
+        ctx.profile, replicas=SERVING_REPLICAS, max_batch=SERVING_MAX_BATCH
+    )
+
+
+def serving_design(ctx: SimpleNamespace) -> tuple[dict, list]:
+    return {
+        "design": _design_fields(ctx.result, ctx.profile),
+        "throughput_design": _design_fields(
+            ctx.throughput_result, ctx.throughput_profile
+        ),
+    }, []
+
+
+def serving_policies(ctx: SimpleNamespace) -> tuple[dict, list]:
+    """Every policy on the shared workload: full completion, a busy
+    pool, ordered percentiles, EDF missing no more than FIFO, and two
+    EDF sessions at one seed bit-identical."""
+    from repro.serving import report_to_json
+
+    reports, walls = {}, {}
+    for policy in POLICIES:
+        started = time.perf_counter()
+        reports[policy] = _serve(ctx, policy)
+        walls[policy] = round(time.perf_counter() - started, 3)
+    fifo, edf = reports["fifo"], reports["edf"]
+    deterministic = report_to_json(edf) == report_to_json(_serve(ctx, "edf"))
+
+    gates = []
+    if not deterministic:
+        gates.append("serving sessions diverged at the same seed")
+    for policy, report in reports.items():
+        if report.completed != report.submitted:
+            gates.append(
+                f"{policy} completed {report.completed} of "
+                f"{report.submitted} frames"
+            )
+        busiest = max(report.replica_utilization)
+        if busiest <= UTILIZATION_FLOOR:
+            gates.append(
+                f"{policy} busiest replica utilization {busiest:.3f} is "
+                f"not above {UTILIZATION_FLOOR}"
+            )
+        percentiles = (
+            report.latency_p50_ms,
+            report.latency_p95_ms,
+            report.latency_p99_ms,
+        )
+        if not 0 < percentiles[0] <= percentiles[1] <= percentiles[2]:
+            gates.append(
+                f"{policy} latency percentiles p50/p95/p99 {percentiles} "
+                f"are not positive and ordered"
+            )
+    if edf.deadline_misses > fifo.deadline_misses:
+        gates.append(
+            f"EDF missed {edf.deadline_misses} deadlines, more than "
+            f"FIFO's {fifo.deadline_misses}"
+        )
+    return {
+        "policies": {
+            policy: summarize_serving(report)
+            for policy, report in reports.items()
+        },
+        "edf_vs_fifo": {
+            "miss_rate_delta": round(edf.miss_rate - fifo.miss_rate, 4),
+            "p99_delta_ms": round(
+                edf.latency_p99_ms - fifo.latency_p99_ms, 3
+            ),
+        },
+        "wall_seconds": walls,
+        "deterministic": deterministic,
+    }, gates
+
+
+def serving_identity(ctx: SimpleNamespace) -> tuple[dict, list]:
+    """A one-group cluster and the event-heap engine both reproduce the
+    plain EDF session on the shared workload."""
+    from repro.serving import GroupSpec, serve_cluster, serve_trace
+
+    edf = _serve(ctx, "edf")
+    single_group = serve_cluster(
+        [
+            GroupSpec(
+                "only",
+                ctx.profile,
+                replicas=SERVING_REPLICAS,
+                policy="edf",
+                batch_window_ms=2.0,
+                max_batch=SERVING_MAX_BATCH,
+            )
+        ],
+        ctx.workload,
+    )
+    single_group_identical = all(
+        getattr(single_group, field) == getattr(edf, field)
+        for field in (
+            "policy", "submitted", "completed", "duration_ms",
+            "latency_p50_ms", "latency_p95_ms", "latency_p99_ms",
+            "latency_mean_ms", "latency_max_ms", "queue_mean_ms",
+            "deadline_misses", "batches", "mean_batch_size",
+            "replica_utilization", "per_avatar_p99_ms",
+        )
+    )
+    # Latency floats agree to clock round-off; counters must be exact.
+    heap = serve_trace(_pool(ctx), ctx.workload, policy="edf")
+    engine_equivalent = heap.engine == "heap" and all(
+        getattr(heap, field) == getattr(edf, field)
+        for field in ("submitted", "completed", "deadline_misses", "batches")
+    )
+
+    gates = []
+    if not single_group_identical:
+        gates.append(
+            "single-group cluster diverged from the plain BatchScheduler path"
+        )
+    if not engine_equivalent:
+        gates.append(
+            "event-heap engine diverged from the coroutine scheduler on "
+            "the shared workload"
+        )
+    return {
+        "single_group_cluster_identical": single_group_identical,
+        "engine_equivalent": engine_equivalent,
+    }, gates
+
+
+def _cluster_workload(profile, saturation: float, budget: int):
     """The mixed-deadline cluster benchmark workload, sized off capacity.
 
     The tight tier budget sits between the latency group's and the
@@ -824,17 +1013,19 @@ def _cluster_workload(
         deadline_ms=50.0,
         deadline_tiers=tiers,
         jitter_ms=8.0,
-        seed=seed,
+        seed=0,
     )
 
 
-def _cluster_groups(latency_profile, throughput_profile):
+def _tiered_groups(ctx: SimpleNamespace, budget: int):
+    """One EDF latency replica plus a FIFO throughput tier filling the
+    rest of ``budget``."""
     from repro.serving import GroupSpec
 
     return [
         GroupSpec(
             "latency",
-            latency_profile,
+            ctx.profile,
             replicas=1,
             policy="edf",
             batch_window_ms=0.0,
@@ -842,8 +1033,8 @@ def _cluster_groups(latency_profile, throughput_profile):
         ),
         GroupSpec(
             "throughput",
-            throughput_profile,
-            replicas=CLUSTER_BUDGET - 1,
+            ctx.throughput_profile,
+            replicas=budget - 1,
             policy="fifo",
             batch_window_ms=4.0,
             max_batch=8,
@@ -851,11 +1042,9 @@ def _cluster_groups(latency_profile, throughput_profile):
     ]
 
 
-def run_cluster_section(latency_profile, throughput_profile) -> tuple[dict, list[str]]:
-    """Mixed cluster vs best homogeneous pool at a fixed replica budget.
-
-    Returns the JSON section plus a list of failed gates (empty = pass).
-    """
+def serving_cluster(ctx: SimpleNamespace) -> tuple[dict, list]:
+    """Mixed cluster vs best homogeneous pool at a fixed replica budget,
+    and load shedding at overload."""
     from repro.serving import (
         ReplicaPool,
         report_to_json,
@@ -863,17 +1052,16 @@ def run_cluster_section(latency_profile, throughput_profile) -> tuple[dict, list
         serve_workload,
     )
 
-    workload = _cluster_workload(latency_profile, CLUSTER_SATURATION)
-
+    workload = _cluster_workload(
+        ctx.profile, CLUSTER_SATURATION, CLUSTER_BUDGET
+    )
     homogeneous = {}
     for design, profile in (
-        ("latency", latency_profile),
-        ("throughput", throughput_profile),
+        ("latency", ctx.profile),
+        ("throughput", ctx.throughput_profile),
     ):
         for policy in ("fifo", "edf"):
-            pool = ReplicaPool(
-                profile, replicas=CLUSTER_BUDGET, max_batch=8
-            )
+            pool = ReplicaPool(profile, replicas=CLUSTER_BUDGET, max_batch=8)
             homogeneous[f"{design}/{policy}"] = serve_workload(
                 pool, workload, policy=policy
             )
@@ -882,7 +1070,7 @@ def run_cluster_section(latency_profile, throughput_profile) -> tuple[dict, list
 
     def mixed_session(wl, shed):
         return serve_cluster(
-            _cluster_groups(latency_profile, throughput_profile),
+            _tiered_groups(ctx, CLUSTER_BUDGET),
             wl,
             router="deadline",
             admission=shed,
@@ -893,7 +1081,7 @@ def run_cluster_section(latency_profile, throughput_profile) -> tuple[dict, list
     mixed_noshed = mixed_session(workload, shed=None)
     deterministic = report_to_json(mixed) == report_to_json(mixed_again)
 
-    overload = _cluster_workload(latency_profile, SHED_OVERLOAD)
+    overload = _cluster_workload(ctx.profile, SHED_OVERLOAD, CLUSTER_BUDGET)
     over_shed = mixed_session(overload, shed=True)
     over_noshed = mixed_session(overload, shed=None)
 
@@ -922,116 +1110,58 @@ def run_cluster_section(latency_profile, throughput_profile) -> tuple[dict, list
     if over_shed.shed_rate <= 0.0:
         gates.append("overload session shed nothing")
     if over_noshed.latency_p99_ms <= over_shed.latency_p99_ms:
-        gates.append(
-            "shedding did not improve accepted p99 at overload"
-        )
+        gates.append("shedding did not improve accepted p99 at overload")
     if not deterministic:
         gates.append("mixed-cluster sessions diverged at the same seed")
 
-    section = {
-        "replica_budget": CLUSTER_BUDGET,
-        "saturation": CLUSTER_SATURATION,
-        "workload": {
-            "avatars": workload.avatars,
-            "frames_per_avatar": workload.frames_per_avatar,
-            "deadline_tiers_ms": [
-                workload.deadline_tiers[0],
-                workload.deadline_tiers[-1],
-            ],
-            "tight_avatars": sum(
-                1
-                for avatar in range(workload.avatars)
-                if workload.deadline_for(avatar) == workload.deadline_tiers[0]
-            ),
-        },
-        "homogeneous": {
-            name: summarize_serving(report)
-            for name, report in homogeneous.items()
-        },
-        "best_homogeneous": best_name,
-        "mixed": summarize_serving(mixed),
-        "mixed_no_shed": summarize_serving(mixed_noshed),
-        "overload": {
-            "factor": SHED_OVERLOAD,
-            "avatars": overload.avatars,
-            "p99_bound_ms": p99_bound_ms,
-            "with_shedding": summarize_serving(over_shed),
-            "without_shedding": summarize_serving(over_noshed),
-        },
-        "mixed_vs_best_homogeneous": {
-            "miss_rate_delta": round(mixed.miss_rate - best.miss_rate, 4),
-            "p99_delta_ms": round(
-                mixed.latency_p99_ms - best.latency_p99_ms, 3
-            ),
-        },
-        "deterministic": deterministic,
-        "gates": gates,
-    }
-    return section, gates
-
-
-#: The chaos benchmark: a five-replica cluster whose entire latency tier
-#: (1 of 5 replicas — 20% of the fleet) dies mid-session, with no
-#: admission control so the damage cannot hide behind shedding. The
-#: shielded run (retries + failover + replacement) must hold its
-#: combined deadline-miss + failure rate within 2x of the fault-free
-#: run; the unshielded run (no retries, no replacement) eats the dead
-#: replica's in-flight frames as failures and then runs the rest of the
-#: session past capacity, so its misses grow without bound.
-CHAOS_BUDGET = 5
-CHAOS_SATURATION = 0.85
-CHAOS_KILL = "die-at:latency/0:250"
-CHAOS_REPLACE_AFTER_MS = 80.0
-#: Absolute floor on the shielded bound so a fault-free run that misses
-#: nothing does not demand a literally perfect faulty run.
-CHAOS_DEGRADED_FLOOR = 0.02
-
-
-def summarize_chaos(report) -> dict:
-    payload = summarize_serving(report)
-    payload.update(
-        {
-            "failed": report.failed,
-            "failed_rate": round(report.failed_rate, 4),
-            "retries": report.retries,
-            "hedges": report.hedges,
-            "failovers": report.failovers,
-            "replicas_lost": report.replicas_lost,
-            "replicas_replaced": report.replicas_replaced,
-            "degraded_time_ms": round(report.degraded_time_ms, 3),
+    return {
+        "cluster": {
+            "replica_budget": CLUSTER_BUDGET,
+            "saturation": CLUSTER_SATURATION,
+            "workload": {
+                "avatars": workload.avatars,
+                "frames_per_avatar": workload.frames_per_avatar,
+                "deadline_tiers_ms": [
+                    workload.deadline_tiers[0],
+                    workload.deadline_tiers[-1],
+                ],
+                "tight_avatars": sum(
+                    1
+                    for avatar in range(workload.avatars)
+                    if workload.deadline_for(avatar)
+                    == workload.deadline_tiers[0]
+                ),
+            },
+            "homogeneous": {
+                name: summarize_serving(report)
+                for name, report in homogeneous.items()
+            },
+            "best_homogeneous": best_name,
+            "mixed": summarize_serving(mixed),
+            "mixed_no_shed": summarize_serving(mixed_noshed),
+            "overload": {
+                "factor": SHED_OVERLOAD,
+                "avatars": overload.avatars,
+                "p99_bound_ms": p99_bound_ms,
+                "with_shedding": summarize_serving(over_shed),
+                "without_shedding": summarize_serving(over_noshed),
+            },
+            "mixed_vs_best_homogeneous": {
+                "miss_rate_delta": round(mixed.miss_rate - best.miss_rate, 4),
+                "p99_delta_ms": round(
+                    mixed.latency_p99_ms - best.latency_p99_ms, 3
+                ),
+            },
+            "deterministic": deterministic,
+            "gates": gates,
         }
-    )
-    return payload
+    }, gates
 
 
-def _chaos_groups(latency_profile, throughput_profile):
-    from repro.serving import GroupSpec
-
-    return [
-        GroupSpec(
-            "latency",
-            latency_profile,
-            replicas=1,
-            policy="edf",
-            batch_window_ms=0.0,
-            max_batch=4,
-        ),
-        GroupSpec(
-            "throughput",
-            throughput_profile,
-            replicas=CHAOS_BUDGET - 1,
-            policy="fifo",
-            batch_window_ms=4.0,
-            max_batch=8,
-        ),
-    ]
-
-
-def run_chaos_section(latency_profile, throughput_profile) -> tuple[dict, list[str]]:
-    """Chaos resilience: 20% replica loss, shielded vs unshielded.
-
-    Returns the JSON section plus a list of failed gates (empty = pass).
-    """
+def serving_chaos(ctx: SimpleNamespace) -> tuple[dict, list]:
+    """Chaos resilience: 20% replica loss, shielded vs unshielded, and
+    the event-heap engine's counters matching the coroutine scheduler's
+    under the same faults."""
     from repro.serving import (
         ChaosPlan,
         RecoveryPolicy,
@@ -1041,10 +1171,8 @@ def run_chaos_section(latency_profile, throughput_profile) -> tuple[dict, list[s
         trace_from_workload,
     )
 
-    workload = _cluster_workload(
-        latency_profile, CHAOS_SATURATION, budget=CHAOS_BUDGET
-    )
-    groups = _chaos_groups(latency_profile, throughput_profile)
+    workload = _cluster_workload(ctx.profile, CHAOS_SATURATION, CHAOS_BUDGET)
+    groups = _tiered_groups(ctx, CHAOS_BUDGET)
     chaos = ChaosPlan.parse(CHAOS_KILL)
     shielded_policy = RecoveryPolicy(
         max_retries=2,
@@ -1079,14 +1207,13 @@ def run_chaos_section(latency_profile, throughput_profile) -> tuple[dict, list[s
 
     bound = max(2.0 * degraded(fault_free), CHAOS_DEGRADED_FLOOR)
     deterministic = report_to_json(shielded) == report_to_json(shielded_again)
-    counter_fields = (
-        "submitted", "completed", "failed", "shed", "deadline_misses",
-        "retries", "hedges", "failovers", "replicas_lost",
-        "replicas_replaced",
-    )
     engine_equivalent = all(
         getattr(heap, field) == getattr(shielded, field)
-        for field in counter_fields
+        for field in (
+            "submitted", "completed", "failed", "shed", "deadline_misses",
+            "retries", "hedges", "failovers", "replicas_lost",
+            "replicas_replaced",
+        )
     )
 
     gates = []
@@ -1135,45 +1262,30 @@ def run_chaos_section(latency_profile, throughput_profile) -> tuple[dict, list[s
             "under faults"
         )
 
-    section = {
-        "replica_budget": CHAOS_BUDGET,
-        "saturation": CHAOS_SATURATION,
-        "chaos": CHAOS_KILL,
-        "replica_loss_fraction": round(1.0 / CHAOS_BUDGET, 2),
-        "recovery": {
-            "max_retries": shielded_policy.max_retries,
-            "breaker_threshold": shielded_policy.breaker_threshold,
-            "replace_after_ms": shielded_policy.replace_after_ms,
-        },
-        "fault_free": summarize_chaos(fault_free),
-        "shielded": summarize_chaos(shielded),
-        "unshielded": summarize_chaos(unshielded),
-        "degraded_bound": round(bound, 4),
-        "deterministic": deterministic,
-        "engine_equivalent": engine_equivalent,
-        "gates": gates,
-    }
-    return section, gates
+    return {
+        "chaos": {
+            "replica_budget": CHAOS_BUDGET,
+            "saturation": CHAOS_SATURATION,
+            "chaos": CHAOS_KILL,
+            "replica_loss_fraction": round(1.0 / CHAOS_BUDGET, 2),
+            "recovery": {
+                "max_retries": shielded_policy.max_retries,
+                "breaker_threshold": shielded_policy.breaker_threshold,
+                "replace_after_ms": shielded_policy.replace_after_ms,
+            },
+            "fault_free": summarize_chaos(fault_free),
+            "shielded": summarize_chaos(shielded),
+            "unshielded": summarize_chaos(unshielded),
+            "degraded_bound": round(bound, 4),
+            "deterministic": deterministic,
+            "engine_equivalent": engine_equivalent,
+            "gates": gates,
+        }
+    }, gates
 
 
-#: Size of the event-heap engine's scale session: one million avatars on
-#: a slow periodic refresh over a two-minute diurnal session — ~1.1M
-#: requests, the population the engine exists to serve in one process.
-ENGINE_AVATARS = 1_000_000
-ENGINE_DURATION_S = 120.0
-ENGINE_AVATAR_FPS = 1.0 / 60.0
-
-#: The engine's wall-time budget for the full scale session (seconds) and
-#: the floor on simulated requests per wall-clock second.
-ENGINE_WALL_BUDGET_S = 60.0
-ENGINE_THROUGHPUT_FLOOR = 30_000.0
-
-
-def run_engine_section(result, profile) -> tuple[dict, list[str]]:
-    """The event-heap engine at population scale, with autoscaling.
-
-    Returns the JSON section plus a list of failed gates (empty = pass).
-    """
+def serving_engine(ctx: SimpleNamespace) -> tuple[dict, list]:
+    """The event-heap engine at population scale, with autoscaling."""
     from repro.serving import AutoscalePolicy, make_trace, serve_trace
     from repro.serving.slo import report_to_json
 
@@ -1189,8 +1301,8 @@ def run_engine_section(result, profile) -> tuple[dict, list[str]]:
             seed=42,
         )
         report = serve_trace(
-            result.serving_group(
-                name="fleet", replicas=2, policy="edf", profile=profile
+            ctx.result.serving_group(
+                name="fleet", replicas=2, policy="edf", profile=ctx.profile
             ),
             trace,
             admission=True,
@@ -1198,7 +1310,7 @@ def run_engine_section(result, profile) -> tuple[dict, list[str]]:
                 check_interval_ms=1000.0,
                 warmup_ms=5000.0,
                 min_replicas=2,
-                max_replicas=64,
+                max_replicas=ENGINE_MAX_REPLICAS,
             ),
         )
         return report, time.perf_counter() - started
@@ -1214,6 +1326,12 @@ def run_engine_section(result, profile) -> tuple[dict, list[str]]:
             f"scale session submitted only {report.submitted:,} requests "
             f"(needs >= 1,000,000)"
         )
+    ran = (report.engine, report.shape, report.avatars)
+    if ran != ("heap", "diurnal", ENGINE_AVATARS):
+        gates.append(
+            f"scale session ran (engine, shape, avatars) {ran}, not "
+            f"('heap', 'diurnal', {ENGINE_AVATARS})"
+        )
     if wall >= ENGINE_WALL_BUDGET_S:
         gates.append(
             f"scale session took {wall:.1f}s "
@@ -1228,283 +1346,96 @@ def run_engine_section(result, profile) -> tuple[dict, list[str]]:
         gates.append("scale session lost requests (completed + shed != submitted)")
     if report.scale_ups <= 0:
         gates.append("autoscaler never scaled up under the diurnal peak")
+    if report.peak_replicas <= 2:
+        gates.append(
+            f"autoscaler peaked at {report.peak_replicas} replicas, never "
+            f"above its 2-replica floor"
+        )
     if not deterministic:
         gates.append("engine sessions diverged at the same seed")
 
-    section = {
-        "avatars": ENGINE_AVATARS,
-        "duration_s": ENGINE_DURATION_S,
-        "shape": report.shape,
-        "submitted": report.submitted,
-        "completed": report.completed,
-        "shed": report.shed,
-        "deadline_misses": report.deadline_misses,
-        "scale_ups": report.scale_ups,
-        "scale_downs": report.scale_downs,
-        "peak_replicas": report.peak_replicas,
-        "wall_seconds": round(wall, 3),
-        "simulated_requests_per_second": round(rate),
-        "deterministic": deterministic,
-        "gates": gates,
-    }
-    return section, gates
+    return {
+        "engine": {
+            "avatars": ENGINE_AVATARS,
+            "duration_s": ENGINE_DURATION_S,
+            "shape": report.shape,
+            "submitted": report.submitted,
+            "completed": report.completed,
+            "shed": report.shed,
+            "deadline_misses": report.deadline_misses,
+            "scale_ups": report.scale_ups,
+            "scale_downs": report.scale_downs,
+            "peak_replicas": report.peak_replicas,
+            "max_replicas": ENGINE_MAX_REPLICAS,
+            # At the cap the autoscaler had no headroom left and admission
+            # shed the rest: the submitted rate counts those cheap sheds,
+            # the completed rate only what was served.
+            "at_cap": report.peak_replicas >= ENGINE_MAX_REPLICAS,
+            "wall_seconds": round(wall, 3),
+            "simulated_requests_per_second": round(rate),
+            "completed_per_second": round(report.completed / wall)
+            if wall > 0
+            else 0,
+            "deterministic": deterministic,
+            "gates": gates,
+        }
+    }, gates
 
 
-def run_serving_suite(args: argparse.Namespace) -> int:
-    from repro.devices.fpga import get_device
-    from repro.dse.space import Customization
-    from repro.fcad.flow import FCad
-    from repro.models.zoo import get_model
-    from repro.serving import (
-        GroupSpec,
-        ReplicaPool,
-        report_to_json,
-        saturation_workload,
-        serve_cluster,
-        serve_workload,
-    )
-
-    network = get_model(args.model)
-    result = FCad(
-        network=network,
-        device=get_device(args.device),
-        quant=args.quant,
-    ).run(
-        iterations=args.iterations,
-        population=args.population,
-        seed=0,
-        workers=1,
-    )
-    profile = result.frame_latency_profile(frames=8)
-
-    # The throughput tier of the mixed cluster: the same flow under a
-    # big-batch customization (the paper's knob that actually changes the
-    # architecture — here per-branch batch 2, which doubles the cold fill
-    # while holding the steady rate).
-    branches = len(network.output_names())
-    throughput_result = FCad(
-        network=network,
-        device=get_device(args.device),
-        quant=args.quant,
-        customization=Customization(
-            batch_sizes=(2,) * branches, priorities=(1.0,) * branches
+# ---------------------------------------------------------------------------
+# registry and CLI
+# ---------------------------------------------------------------------------
+SUITES: dict[str, Suite] = {
+    "dse": Suite(
+        benchmark="dse_convergence",
+        setup=dse_setup,
+        sections={
+            "convergence": dse_convergence,
+            "kernel": dse_kernel,
+            "surrogate": dse_surrogate,
+        },
+        trajectory=(
+            ("serial wall s", "serial.wall_seconds"),
+            ("parallel wall s", "parallel.wall_seconds"),
+            ("speedup", "speedup"),
+            ("cache hit rate", "parallel.cache_hit_rate"),
         ),
-    ).run(
-        iterations=args.iterations,
-        population=args.population,
-        seed=0,
-        workers=1,
-    )
-    throughput_profile = throughput_result.frame_latency_profile(frames=8)
-
-    workload = saturation_workload(
-        profile,
-        replicas=args.replicas,
-        avatar_fps=args.avatar_fps,
-        frames_per_avatar=args.frames,
-    )
-    avatars = workload.avatars
-
-    def session(policy: str):
-        pool = ReplicaPool(
-            profile, replicas=args.replicas, max_batch=args.max_batch
-        )
-        started = time.perf_counter()
-        report = serve_workload(pool, workload, policy=policy)
-        return report, time.perf_counter() - started
-
-    fifo, fifo_wall = session("fifo")
-    edf, edf_wall = session("edf")
-    edf_again, _ = session("edf")
-    deterministic = report_to_json(edf) == report_to_json(edf_again)
-
-    # A cluster of one in-process group must reproduce the plain
-    # BatchScheduler path SLO for SLO (the refactor's identity guarantee).
-    single_group = serve_cluster(
-        [
-            GroupSpec(
-                "only",
-                profile,
-                replicas=args.replicas,
-                policy="edf",
-                batch_window_ms=2.0,
-                max_batch=args.max_batch,
-            )
-        ],
-        workload,
-    )
-    identity_fields = (
-        "policy", "submitted", "completed", "duration_ms",
-        "latency_p50_ms", "latency_p95_ms", "latency_p99_ms",
-        "latency_mean_ms", "latency_max_ms", "queue_mean_ms",
-        "deadline_misses", "batches", "mean_batch_size",
-        "replica_utilization", "per_avatar_p99_ms",
-    )
-    single_group_identical = all(
-        getattr(single_group, field) == getattr(edf, field)
-        for field in identity_fields
-    )
-
-    cluster_section, cluster_gates = run_cluster_section(
-        profile, throughput_profile
-    )
-    chaos_section, chaos_gates = run_chaos_section(
-        profile, throughput_profile
-    )
-
-    # The event-heap engine must reproduce the coroutine scheduler's
-    # counters on the suite's own workload before its scale numbers mean
-    # anything.
-    from repro.serving import serve_trace
-
-    heap_edf = serve_trace(
-        ReplicaPool(profile, replicas=args.replicas, max_batch=args.max_batch),
-        workload,
-        policy="edf",
-    )
-    equivalence_fields = (
-        "submitted", "completed", "deadline_misses", "batches",
-    )
-    engine_equivalent = all(
-        getattr(heap_edf, field) == getattr(edf, field)
-        for field in equivalence_fields
-    )
-
-    engine_section, engine_gates = run_engine_section(result, profile)
-
-    payload = {
-        "benchmark": "avatar_serving",
-        "config": {
-            "model": args.model,
-            "device": args.device,
-            "quant": args.quant,
-            "iterations": args.iterations,
-            "population": args.population,
-            "replicas": args.replicas,
-            "max_batch": args.max_batch,
-            "avatars": avatars,
-            "frames_per_avatar": args.frames,
-            "avatar_fps": args.avatar_fps,
-            "deadline_tiers_ms": list(workload.deadline_tiers),
+    ),
+    "serving": Suite(
+        benchmark="avatar_serving",
+        setup=serving_setup,
+        sections={
+            "design": serving_design,
+            "policies": serving_policies,
+            "identity": serving_identity,
+            "cluster": serving_cluster,
+            "chaos": serving_chaos,
+            "engine": serving_engine,
         },
-        "environment": environment(),
-        "design": {
-            "steady_fps": round(result.fps, 2),
-            "first_frame_ms": round(profile.first_frame_ms, 3),
-            "steady_interval_ms": round(profile.steady_interval_ms, 3),
+        trajectory=(
+            ("edf p99 ms", "policies.edf.latency_p99_ms"),
+            ("edf miss rate", "policies.edf.deadline_miss_rate"),
+            ("mixed cluster miss rate", "cluster.mixed.deadline_miss_rate"),
+            ("shielded chaos failed rate", "chaos.shielded.failed_rate"),
+            ("engine wall s", "engine.wall_seconds"),
+            ("engine sim req per s", "engine.simulated_requests_per_second"),
+            ("engine completed per s", "engine.completed_per_second"),
+        ),
+    ),
+    "dist": Suite(
+        benchmark="distributed_fleet",
+        setup=dist_setup,
+        sections={
+            "fleet": dist_fleet,
+            "remote_serving": dist_remote_serving,
         },
-        "throughput_design": {
-            "steady_fps": round(throughput_result.fps, 2),
-            "first_frame_ms": round(throughput_profile.first_frame_ms, 3),
-            "steady_interval_ms": round(
-                throughput_profile.steady_interval_ms, 3
-            ),
-        },
-        "policies": {
-            "fifo": summarize_serving(fifo),
-            "edf": summarize_serving(edf),
-        },
-        "edf_vs_fifo": {
-            "miss_rate_delta": round(edf.miss_rate - fifo.miss_rate, 4),
-            "p99_delta_ms": round(
-                edf.latency_p99_ms - fifo.latency_p99_ms, 3
-            ),
-        },
-        "wall_seconds": {
-            "fifo": round(fifo_wall, 3),
-            "edf": round(edf_wall, 3),
-        },
-        "deterministic": deterministic,
-        "single_group_cluster_identical": single_group_identical,
-        "engine_equivalent": engine_equivalent,
-        "cluster": cluster_section,
-        "chaos": chaos_section,
-        "engine": engine_section,
-    }
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-
-    out_dir = REPO / "benchmarks" / "out"
-    out_dir.mkdir(exist_ok=True)
-    (out_dir / "serving-smoke.txt").write_text(
-        f"### Avatar serving smoke (reduced size)\n"
-        f"{fifo.render()}\n\n{edf.render()}\n"
-    )
-
-    print(f"wrote {args.out}")
-    print(
-        f"{avatars} avatars on {args.replicas} replicas: "
-        f"fifo miss {100 * fifo.miss_rate:.1f}% p99 "
-        f"{fifo.latency_p99_ms:.1f} ms | edf miss "
-        f"{100 * edf.miss_rate:.1f}% p99 {edf.latency_p99_ms:.1f} ms, "
-        f"deterministic={deterministic}"
-    )
-    mixed = cluster_section["mixed"]
-    best = cluster_section["homogeneous"][
-        cluster_section["best_homogeneous"]
-    ]
-    over = cluster_section["overload"]
-    print(
-        f"cluster (budget {CLUSTER_BUDGET}, {CLUSTER_SATURATION}x): mixed "
-        f"miss {100 * mixed['deadline_miss_rate']:.1f}% (shed "
-        f"{100 * mixed['shed_rate']:.1f}%) vs best homogeneous "
-        f"{cluster_section['best_homogeneous']} miss "
-        f"{100 * best['deadline_miss_rate']:.1f}%"
-    )
-    print(
-        f"overload ({SHED_OVERLOAD}x): shed p99 "
-        f"{over['with_shedding']['latency_p99_ms']:.1f} ms (shed "
-        f"{100 * over['with_shedding']['shed_rate']:.1f}%) vs no-shed p99 "
-        f"{over['without_shedding']['latency_p99_ms']:.1f} ms, bound "
-        f"{over['p99_bound_ms']:.0f} ms"
-    )
-    shielded = chaos_section["shielded"]
-    unshielded = chaos_section["unshielded"]
-    print(
-        f"chaos ({CHAOS_KILL}, {1 / CHAOS_BUDGET:.0%} loss): shielded "
-        f"miss+fail "
-        f"{100 * (shielded['deadline_miss_rate'] + shielded['failed_rate']):.1f}% "
-        f"(bound {100 * chaos_section['degraded_bound']:.1f}%) vs "
-        f"unshielded "
-        f"{100 * (unshielded['deadline_miss_rate'] + unshielded['failed_rate']):.1f}%, "
-        f"retries {shielded['retries']}, failovers "
-        f"{shielded['failovers']}, replaced {shielded['replicas_replaced']}"
-    )
-    print(
-        f"engine: {engine_section['submitted']:,} requests over "
-        f"{ENGINE_AVATARS:,} avatars in {engine_section['wall_seconds']}s "
-        f"({engine_section['simulated_requests_per_second']:,} sim req/s), "
-        f"peak {engine_section['peak_replicas']} replicas "
-        f"(+{engine_section['scale_ups']}/-{engine_section['scale_downs']}), "
-        f"deterministic={engine_section['deterministic']}"
-    )
-    if not deterministic:
-        print("ERROR: serving sessions diverged at the same seed")
-        return 1
-    if not single_group_identical:
-        print(
-            "ERROR: single-group cluster diverged from the plain "
-            "BatchScheduler path"
-        )
-        return 1
-    if not engine_equivalent:
-        print(
-            "ERROR: event-heap engine diverged from the coroutine "
-            "scheduler on the shared workload"
-        )
-        return 1
-    if cluster_gates:
-        for gate in cluster_gates:
-            print(f"ERROR: cluster gate failed: {gate}")
-        return 1
-    if chaos_gates:
-        for gate in chaos_gates:
-            print(f"ERROR: chaos gate failed: {gate}")
-        return 1
-    if engine_gates:
-        for gate in engine_gates:
-            print(f"ERROR: engine gate failed: {gate}")
-        return 1
-    return 0
+        trajectory=(
+            ("fleet wall s", "fleet.wall_seconds"),
+            ("killed-worker fleet wall s", "fleet_with_killed_worker.wall_seconds"),
+            ("fleet leases", "fleet.stats.leases"),
+        ),
+    ),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1512,20 +1443,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--suite",
         default="dse",
-        choices=["dse", "serving", "dist"],
+        choices=list(SUITES),
         help="which benchmark smoke to run (default: dse)",
     )
-    parser.add_argument("--device", default="ZU9CG")
-    parser.add_argument("--quant", default="int8")
-    parser.add_argument(
-        "--objective",
-        default="paper",
-        choices=["paper", "slo", "composite"],
-        help="fitness objective for the DSE suite; recorded in the "
-        "payload so trajectories under different objectives are never "
-        "compared (default: paper)",
-    )
-    parser.add_argument("--searches", type=int, default=2)
     parser.add_argument("--iterations", type=int, default=5)
     parser.add_argument("--population", type=int, default=40)
     parser.add_argument(
@@ -1535,28 +1455,16 @@ def main(argv: list[str] | None = None) -> int:
             os.environ.get("FCAD_BENCH_WORKERS")
             or max(1, min(4, os.cpu_count() or 1))
         ),
-        help="workers for the parallel run (default: $FCAD_BENCH_WORKERS "
-        "if set, else up to 4)",
+        help="workers for the dse suite's parallel run (default: "
+        "$FCAD_BENCH_WORKERS if set, else up to 4)",
     )
-    # serving-suite knobs
-    parser.add_argument("--model", default="codec_avatar_decoder")
-    parser.add_argument("--replicas", type=int, default=2)
-    parser.add_argument("--max-batch", type=int, default=8)
-    parser.add_argument("--frames", type=int, default=30)
-    parser.add_argument("--avatar-fps", type=float, default=30.0)
     parser.add_argument(
-        "--out",
-        help="output path (default: BENCH_dse.json / BENCH_serving.json)",
+        "--out", help="output path (default: BENCH_<suite>.json)"
     )
     args = parser.parse_args(argv)
     if args.out is None:
         args.out = f"BENCH_{args.suite}.json"
-
-    if args.suite == "serving":
-        return run_serving_suite(args)
-    if args.suite == "dist":
-        return run_dist_suite(args)
-    return run_dse_suite(args)
+    return run_suite(args.suite, args)
 
 
 if __name__ == "__main__":

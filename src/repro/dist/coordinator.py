@@ -282,6 +282,7 @@ class SweepCoordinator:
                     worker=worker, deadline=now + self.spec.lease_timeout_s
                 )
                 self.stats["leases"] += 1
+                self._cond.notify_all()
                 seen = int(message.get("cache_seq", 0))
                 return {
                     "type": "lease",
@@ -361,10 +362,18 @@ class SweepCoordinator:
 
     # -- worker processes ------------------------------------------------
     def _spawn_workers(self) -> list[subprocess.Popen]:
+        """Start the local workers, one fault-armed worker at a time.
+
+        After starting a worker armed with a fault, the next one waits
+        (bounded by ``timeout_s``) until the fleet has taken more leases
+        than workers started before it, so a healthy worker cannot drain
+        every shard before the fault fires.
+        """
         import repro
 
         procs: list[subprocess.Popen] = []
         src_root = str(Path(repro.__file__).resolve().parents[1])
+        deadline = time.monotonic() + self.spec.timeout_s
         for index in range(self.spec.workers):
             env = dict(os.environ)
             env["PYTHONPATH"] = os.pathsep.join(
@@ -373,21 +382,32 @@ class SweepCoordinator:
             env["REPRO_FLEET_CONNECT"] = f"{self.spec.host}:{self.port}"
             env["REPRO_FLEET_TOKEN"] = self.spec.token
             env.pop(FAULT_ENV, None)
-            if index < len(self.spec.worker_faults):
-                fault = self.spec.worker_faults[index]
-                if fault:
-                    env[FAULT_ENV] = fault
-            procs.append(
-                subprocess.Popen(
-                    [
-                        sys.executable,
-                        "-c",
-                        "from repro.dist.worker import spawned_main; "
-                        "raise SystemExit(spawned_main())",
-                    ],
-                    env=env,
-                )
+            fault = (
+                self.spec.worker_faults[index]
+                if index < len(self.spec.worker_faults)
+                else ""
             )
+            if fault:
+                env[FAULT_ENV] = fault
+            proc = subprocess.Popen(
+                [
+                    sys.executable,
+                    "-c",
+                    "from repro.dist.worker import spawned_main; "
+                    "raise SystemExit(spawned_main())",
+                ],
+                env=env,
+            )
+            procs.append(proc)
+            if fault:
+                with self._cond:
+                    while (
+                        self.stats["leases"] <= index
+                        and len(self._done) < len(self.cases)
+                        and proc.poll() is None
+                        and time.monotonic() < deadline
+                    ):
+                        self._cond.wait(timeout=0.1)
         return procs
 
     # -- the run ----------------------------------------------------------

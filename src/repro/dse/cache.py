@@ -101,10 +101,6 @@ class LocalEvalCache:
     def items(self) -> Iterable[tuple[Hashable, Any]]:
         return self._store.items()
 
-    def harvest(self, digest: str) -> list[tuple[int, tuple[int, int, int], Any]]:
-        """One spec's entries as surrogate training rows (sorted)."""
-        return harvest_entries(self, digest)
-
     def clear(self) -> None:
         self._store.clear()
 
@@ -158,10 +154,6 @@ class DeltaEvalCache:
         for key, value in self.base.items():
             if key not in seen:
                 yield key, value
-
-    def harvest(self, digest: str) -> list[tuple[int, tuple[int, int, int], Any]]:
-        """One spec's entries (delta over base) as sorted training rows."""
-        return harvest_entries(self, digest)
 
     def __len__(self) -> int:
         return len(self._delta) + sum(
@@ -229,15 +221,6 @@ class FileEvalCache:
     def items(self) -> Iterable[tuple[Hashable, Any]]:
         return self._store.items()
 
-    def harvest(self, digest: str) -> list[tuple[int, tuple[int, int, int], Any]]:
-        """One spec's persisted entries as sorted training rows.
-
-        Because the file is the training set, a warm start warms the
-        surrogate *model* along with the solution memo — no separate
-        model artifact to version or ship.
-        """
-        return harvest_entries(self, digest)
-
     def __len__(self) -> int:
         return len(self._store)
 
@@ -280,40 +263,6 @@ class FileEvalCache:
         self.close()
 
 
-# ---------------------------------------------------------------------------
-# surrogate training harvest
-# ---------------------------------------------------------------------------
-def harvest_entries(
-    cache: EvalCache, digest: str
-) -> list[tuple[int, tuple[int, int, int], Any]]:
-    """One spec's analytical entries as sorted surrogate training rows.
-
-    Filters the cache down to the ``(digest, branch index, bucket)``
-    analytical keys of one problem spec — re-rank entries (their second
-    element is the string ``"rerank"``) and other specs' entries are
-    skipped — and returns ``(branch, bucket, solution)`` rows sorted by
-    ``(branch, bucket)``. The sort makes the harvest order a pure
-    function of the cache's *contents*: training a model from a file
-    cache, from the same entries held locally, or from a merged shard
-    file yields the identical model.
-
-    Works on every backend through the shared ``items()`` interface, so
-    a persistent :class:`FileEvalCache` warm-starts the surrogate model
-    exactly as it warm-starts the solution memo — for free, from the
-    same file.
-    """
-    rows = [
-        (key[1], key[2], value)
-        for key, value in cache.items()
-        if isinstance(key, tuple)
-        and len(key) == 3
-        and key[0] == digest
-        and isinstance(key[1], int)
-    ]
-    rows.sort(key=lambda row: (row[0], row[1]))
-    return rows
-
-
 #: Backend names accepted by :func:`make_cache` (and the CLI).
 CACHE_BACKENDS = ("local", "file")
 
@@ -343,7 +292,6 @@ __all__ = [
     "EvalCache",
     "FileEvalCache",
     "LocalEvalCache",
-    "harvest_entries",
     "make_cache",
     "put_entries",
 ]

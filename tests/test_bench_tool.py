@@ -3,7 +3,8 @@
 Runs no real suite: a two-section stub checks payload assembly, gate
 reporting, that later sections still run after a failed gate, and that
 the trajectory is compared only against a committed file that measured
-the same benchmark and config.
+the same benchmark and config. One tiny serial convergence run checks
+the ``dse/convergence`` gate on the committed per-search fitness.
 """
 
 from __future__ import annotations
@@ -112,3 +113,47 @@ def test_trajectory_only_against_a_matching_committed_file(
     else:
         assert "baseline_comparison" not in payload
         assert "no comparable committed BENCH_stub.json" in printed
+
+
+@pytest.fixture(scope="module")
+def dse_ctx(tool):
+    """A one-search serial convergence run, as ``dse_setup`` builds it."""
+    run_kwargs = dict(
+        device_name="ZU9CG",
+        quant_name="int8",
+        searches=1,
+        iterations=1,
+        population=4,
+        objective="paper",
+    )
+    serial, wall = tool._timed_convergence(run_kwargs, workers=1)
+    return SimpleNamespace(
+        run_kwargs=run_kwargs, workers=1, serial=serial, serial_wall=wall
+    )
+
+
+def _baseline_gates(gates):
+    # The speedup gate compares two wall times and may fire on any run.
+    return [g for g in gates if isinstance(g, str) and "baseline" in g]
+
+
+def test_serial_run_is_gated_on_the_committed_fitness(tool, dse_ctx):
+    fitness = [s.best_fitness for s in dse_ctx.serial.searches]
+
+    dse_ctx.baseline = {"serial": {"best_fitness_per_search": fitness}}
+    payload, gates = tool.dse_convergence(dse_ctx)
+    assert payload["serial_identical_to_baseline"] is True
+    assert not _baseline_gates(gates)
+
+    drifted = [f + 1.0 for f in fitness]
+    dse_ctx.baseline = {"serial": {"best_fitness_per_search": drifted}}
+    payload, gates = tool.dse_convergence(dse_ctx)
+    assert payload["serial_identical_to_baseline"] is False
+    assert len(_baseline_gates(gates)) == 1
+
+    dse_ctx.baseline = None
+    payload, gates = tool.dse_convergence(dse_ctx)
+    assert payload["serial_identical_to_baseline"] is None
+    assert tool.Skip(
+        "serial-identity-to-baseline", "no comparable committed baseline"
+    ) in gates

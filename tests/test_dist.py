@@ -454,3 +454,27 @@ class TestFleetSweep:
         for fleet_result, serial_result in zip(results[:2], serial):
             assert_same_result(fleet_result, serial_result)
         assert len(cache) > 0  # the fleet warmed the caller's cache
+
+    def test_spawned_killed_worker_is_released_and_lossless(
+        self, engines, serial
+    ):
+        """A spawned worker armed to die after its first lease always gets
+        one: the coordinator starts the healthy worker only once the armed
+        one holds a lease, so the re-lease path runs on every run."""
+        stats: dict = {}
+        results = run_fleet_sweep(
+            engines,
+            FleetSpec(
+                workers=2,
+                token="t",
+                timeout_s=120.0,
+                worker_faults=("die-after-leases:1",),
+            ),
+            iterations=2,
+            population=10,
+            seed=13,
+            stats=stats,
+        )
+        for fleet_result, serial_result in zip(results, serial):
+            assert_same_result(fleet_result, serial_result)
+        assert stats["releases"] >= 1, stats

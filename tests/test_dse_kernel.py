@@ -183,26 +183,18 @@ class TestReplicasSupportedFallback:
 class TestEndToEndIdentity:
     """Seeded search identity across the kernel-routed evaluation path."""
 
-    def _run(self, surrogate: str):
-        from repro.experiments.convergence import run_convergence
-
-        clear_process_caches()
-        return run_convergence(
-            searches=2,
-            iterations=3,
-            population=12,
-            workers=1,
-            surrogate=surrogate,
-        )
-
-    @pytest.fixture(scope="class")
-    def off_run(self):
+    @staticmethod
+    def _run():
         from repro.experiments.convergence import run_convergence
 
         clear_process_caches()
         return run_convergence(
             searches=2, iterations=3, population=12, workers=1
         )
+
+    @pytest.fixture(scope="class")
+    def off_run(self):
+        return self._run()
 
     def test_generation_evaluator_matches_scalar_path(self):
         """The batched generation path ≡ the per-candidate scalar loop."""
@@ -245,25 +237,8 @@ class TestEndToEndIdentity:
             assert b.metrics == s.metrics
             assert pickle.dumps(b.solutions) == pickle.dumps(s.solutions)
 
-    def test_verify_mode_reproduces_off(self, off_run):
-        verify = self._run("verify")
-        assert [
-            (s.best_fitness, s.best_config) for s in verify.searches
-        ] == [(s.best_fitness, s.best_config) for s in off_run.searches]
-
-    def test_prune_mode_deterministic(self, off_run):
-        prune_a = self._run("prune")
-        prune_b = self._run("prune")
-        assert [
-            (s.best_fitness, s.best_config, s.history)
-            for s in prune_a.searches
-        ] == [
-            (s.best_fitness, s.best_config, s.history)
-            for s in prune_b.searches
-        ]
-
     def test_off_run_repeats_bit_identically(self, off_run):
-        again = self._run("off")
+        again = self._run()
         assert [
             (s.best_fitness, s.best_config, s.history)
             for s in again.searches

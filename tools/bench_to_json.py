@@ -6,8 +6,9 @@ Three suites, one per CI smoke job, each compared against its committed
 PR over PR:
 
 - ``--suite dse`` (default) — the DSE convergence study at reduced size:
-  serial vs parallel (bit-identity, speedup), the batched Algorithm-2
-  kernel microbenchmark, and the surrogate filter's prune/verify modes.
+  serial vs parallel (bit-identity, speedup, and the serial run's
+  identity to the committed trajectory) and the batched Algorithm-2
+  kernel microbenchmark.
 - ``--suite serving`` — explore two designs, serve one mixed-deadline
   workload under FIFO, EDF and fair batching, a mixed cluster against
   homogeneous pools, a replica-loss chaos session, and the event-heap
@@ -236,12 +237,6 @@ def run_suite(name: str, args: argparse.Namespace) -> int:
 #: fails (only enforced on multi-core runners).
 SPEEDUP_GATE_TOLERANCE = 1.10
 
-#: Minimum fraction of Algorithm-2 bucket solves the prune-mode
-#: surrogate must skip relative to the surrogate-off run, and the bound
-#: on how far its best fitness may drift from exact.
-SURROGATE_SOLVE_REDUCTION_GATE = 0.30
-SURROGATE_FITNESS_TOLERANCE = 0.01
-
 #: Minimum speedup of the batched Algorithm-2 kernel over the scalar
 #: solver on the committed microbenchmark config, and the stream size the
 #: gate is measured at. The speedup comes from vectorization, not
@@ -312,17 +307,36 @@ def dse_setup(args: argparse.Namespace) -> tuple[dict, SimpleNamespace]:
 
 
 def dse_convergence(ctx: SimpleNamespace) -> tuple[dict, list]:
-    """Parallel vs serial: bit-identity, and speedup on multi-core runners."""
+    """Parallel vs serial: bit-identity, and speedup on multi-core runners.
+
+    The serial run must also reproduce the committed baseline's
+    per-search best fitness: the config is the baseline's, so any drift
+    is a change to what the search decides.
+    """
     parallel, parallel_wall = _timed_convergence(
         ctx.run_kwargs, workers=ctx.workers
     )
     serial, serial_wall = ctx.serial, ctx.serial_wall
-    deterministic = [s.best_fitness for s in serial.searches] == [
+    serial_fitness = [s.best_fitness for s in serial.searches]
+    deterministic = serial_fitness == [
         s.best_fitness for s in parallel.searches
     ]
+    base_fitness = _lookup(ctx.baseline, "serial.best_fitness_per_search")
+    identical_to_baseline = (
+        None if base_fitness is None else base_fitness == serial_fitness
+    )
     gates: list = []
     if not deterministic:
         gates.append("parallel search diverged from serial results")
+    if identical_to_baseline is None:
+        gates.append(
+            Skip("serial-identity-to-baseline", "no comparable committed baseline")
+        )
+    elif not identical_to_baseline:
+        gates.append(
+            f"serial run diverged from the committed baseline "
+            f"({base_fitness} -> {serial_fitness})"
+        )
     if (os.cpu_count() or 1) <= 1:
         speedup_gate = "skipped"
         gates.append(
@@ -348,6 +362,7 @@ def dse_convergence(ctx: SimpleNamespace) -> tuple[dict, list]:
         if parallel_wall > 0
         else None,
         "deterministic": deterministic,
+        "serial_identical_to_baseline": identical_to_baseline,
         "speedup_gate": speedup_gate,
     }, gates
 
@@ -384,116 +399,6 @@ def dse_kernel(ctx: SimpleNamespace) -> tuple[dict, list]:
         )
     section.update(speedup_gate=KERNEL_SPEEDUP_GATE, gates=gates)
     return {"kernel": section}, gates
-
-
-def _surrogate_run_fields(result: ConvergenceResult, wall: float) -> dict:
-    return {
-        "wall_seconds": round(wall, 3),
-        "best_fitness": result.best_fitness,
-        "best_fitness_per_search": [s.best_fitness for s in result.searches],
-        "evaluations": result.total_evaluations,
-        "pruned_candidates": result.total_pruned_candidates,
-        "pruned_buckets": result.total_pruned_buckets,
-        "false_prunes": result.total_false_prunes,
-    }
-
-
-def dse_surrogate(ctx: SimpleNamespace) -> tuple[dict, list]:
-    """Surrogate modes vs the exact (surrogate-off) serial run.
-
-    Prune mode must skip at least 30% of the off run's Algorithm-2 bucket
-    solves while landing within 1% of its best fitness, and two prune
-    runs at one seed must be bit-identical; verify mode must reproduce
-    the off run's per-search best fitness and design exactly; and the off
-    run itself must match the committed baseline's per-search fitness.
-    """
-    serial = ctx.serial
-    prune, prune_wall = _timed_convergence(
-        ctx.run_kwargs, workers=1, surrogate="prune"
-    )
-    prune_again, _ = _timed_convergence(
-        ctx.run_kwargs, workers=1, surrogate="prune"
-    )
-    verify, verify_wall = _timed_convergence(
-        ctx.run_kwargs, workers=1, surrogate="verify"
-    )
-
-    off_evals = serial.total_evaluations
-    reduction = (
-        (off_evals - prune.total_evaluations) / off_evals if off_evals else 0.0
-    )
-    fitness_drift = (
-        abs(prune.best_fitness - serial.best_fitness)
-        / abs(serial.best_fitness)
-        if serial.best_fitness
-        else 0.0
-    )
-    prune_deterministic = _surrogate_run_fields(
-        prune, 0.0
-    ) == _surrogate_run_fields(prune_again, 0.0) and [
-        s.best_config for s in prune.searches
-    ] == [s.best_config for s in prune_again.searches]
-    verify_identical = [
-        (s.best_fitness, s.best_config) for s in verify.searches
-    ] == [(s.best_fitness, s.best_config) for s in serial.searches]
-    # The surrogate machinery sits on the eval path, and "off" promises
-    # that path is untouched: the off run stays on the committed
-    # trajectory.
-    base_fitness = _lookup(ctx.baseline, "serial.best_fitness_per_search")
-    off_fitness = [s.best_fitness for s in serial.searches]
-    off_identical = None if base_fitness is None else base_fitness == off_fitness
-
-    gates: list = []
-    if reduction < SURROGATE_SOLVE_REDUCTION_GATE:
-        gates.append(
-            f"prune mode skipped only {reduction:.1%} of Algorithm-2 "
-            f"solves ({off_evals} -> {prune.total_evaluations}, gate "
-            f"{SURROGATE_SOLVE_REDUCTION_GATE:.0%})"
-        )
-    if fitness_drift > SURROGATE_FITNESS_TOLERANCE:
-        gates.append(
-            f"prune mode best fitness drifted {fitness_drift:.2%} from "
-            f"exact ({serial.best_fitness} -> {prune.best_fitness}, "
-            f"tolerance {SURROGATE_FITNESS_TOLERANCE:.0%})"
-        )
-    if not prune_deterministic:
-        gates.append("two prune-mode runs diverged at the same seeds")
-    if not verify_identical:
-        gates.append(
-            "verify mode did not reproduce the surrogate-off per-search "
-            "results exactly"
-        )
-    if verify.total_evaluations > off_evals:
-        gates.append(
-            f"verify mode solved more buckets than surrogate-off "
-            f"({verify.total_evaluations} > {off_evals})"
-        )
-    if off_identical is False:
-        gates.append(
-            f"surrogate-off serial run diverged from the committed "
-            f"baseline ({base_fitness} -> {off_fitness})"
-        )
-
-    section = {
-        "off_evaluations": off_evals,
-        "prune": _surrogate_run_fields(prune, prune_wall),
-        "verify": _surrogate_run_fields(verify, verify_wall),
-        "solve_reduction": round(reduction, 4),
-        "solve_reduction_gate": SURROGATE_SOLVE_REDUCTION_GATE,
-        "fitness_drift": round(fitness_drift, 6),
-        "fitness_tolerance": SURROGATE_FITNESS_TOLERANCE,
-        "prune_deterministic": prune_deterministic,
-        "verify_identical_to_off": verify_identical,
-        "gates": gates,
-        "off_identical_to_baseline": off_identical,
-    }
-    skips = [
-        Skip(
-            "surrogate-off-baseline-identity",
-            "no comparable committed baseline",
-        )
-    ] if off_identical is None else []
-    return {"surrogate": section}, gates + skips
 
 
 # ---------------------------------------------------------------------------
@@ -1392,7 +1297,6 @@ SUITES: dict[str, Suite] = {
         sections={
             "convergence": dse_convergence,
             "kernel": dse_kernel,
-            "surrogate": dse_surrogate,
         },
         trajectory=(
             ("serial wall s", "serial.wall_seconds"),

@@ -157,3 +157,7 @@ def test_serial_run_is_gated_on_the_committed_fitness(tool, dse_ctx):
     assert tool.Skip(
         "serial-identity-to-baseline", "no comparable committed baseline"
     ) in gates
+
+
+def test_dse_suite_runs_convergence_then_kernel(tool):
+    assert list(tool.SUITES["dse"].sections) == ["convergence", "kernel"]

@@ -198,6 +198,15 @@ class TestValidation:
         assert excinfo.value.code == 2
         assert "positive number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["--surrogate", "prune"], ["--surrogate-min-samples", "8"]]
+    )
+    def test_removed_surrogate_flags_are_unrecognized(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", "codec_avatar_decoder", *argv])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_rerank_rejects_unknown_oracles(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["explore", "tiny_yolo", "--rerank", "quantum"])

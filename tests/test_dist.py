@@ -478,3 +478,51 @@ class TestFleetSweep:
         for fleet_result, serial_result in zip(results, serial):
             assert_same_result(fleet_result, serial_result)
         assert stats["releases"] >= 1, stats
+
+    def test_each_spawned_killed_worker_is_released(self, engines, serial):
+        """Two armed workers each take a lease before the next worker
+        starts, so both die holding one and both shards are re-leased."""
+        stats: dict = {}
+        results = run_fleet_sweep(
+            engines,
+            FleetSpec(
+                workers=3,
+                token="t",
+                timeout_s=120.0,
+                worker_faults=("die-after-leases:1", "die-after-leases:1"),
+            ),
+            iterations=2,
+            population=10,
+            seed=13,
+            stats=stats,
+        )
+        for fleet_result, serial_result in zip(results, serial):
+            assert_same_result(fleet_result, serial_result)
+        assert stats["releases"] >= 2, stats
+
+    def test_spawn_does_not_wait_on_an_armed_worker_that_exits(
+        self, engines, serial
+    ):
+        """An armed worker that exits before its first lease (here on an
+        unparseable fault spec) releases the spawn wait at once instead
+        of holding the healthy worker back until ``timeout_s``."""
+        timeout_s = 60.0
+        stats: dict = {}
+        start = time.monotonic()
+        results = run_fleet_sweep(
+            engines,
+            FleetSpec(
+                workers=2,
+                token="t",
+                timeout_s=timeout_s,
+                worker_faults=("no-such-fault:1",),
+            ),
+            iterations=2,
+            population=10,
+            seed=13,
+            stats=stats,
+        )
+        assert time.monotonic() - start < timeout_s / 2, stats
+        for fleet_result, serial_result in zip(results, serial):
+            assert_same_result(fleet_result, serial_result)
+        assert stats["releases"] == 0, stats

@@ -46,6 +46,15 @@ def test_round_trip():
     assert result_from_json(result_to_json(result)) == result
 
 
+def test_payload_has_no_surrogate_key():
+    """Neither a fresh search nor the pinned archive carries the removed
+    surrogate filter's stats object."""
+    result = result_from_json(PINNED.read_text())
+    assert "surrogate_stats" not in _pinned_payload()
+    assert "surrogate_stats" not in result_to_dict(result)
+    assert not hasattr(result, "surrogate_stats")
+
+
 def test_pinned_payload_loads():
     """An archived payload written by an older codec keeps loading."""
     result = result_from_json(PINNED.read_text())

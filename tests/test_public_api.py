@@ -56,6 +56,26 @@ class TestPublicApi:
     def test_subpackages_import(self, module):
         importlib.import_module(module)
 
+    def test_surrogate_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.dse.surrogate")
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "CalibratedOracle",
+            "ResidualCalibration",
+            "SurrogateFilter",
+            "calibration_from_cache",
+            "harvest_entries",
+        ],
+    )
+    def test_removed_surrogate_exports_stay_gone(self, name):
+        import repro.dse
+
+        assert name not in repro.dse.__all__
+        assert not hasattr(repro.dse, name)
+
     def test_subpackage_all_exports_resolve(self):
         for module_name in (
             "repro.ir",

@@ -48,6 +48,7 @@ entries never need it, because they are the same for every oracle stack.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, ClassVar, Protocol, Sequence, runtime_checkable
@@ -109,6 +110,40 @@ def metrics_from_solutions(
     )
 
 
+def exact_pvariance(values: Sequence[float]) -> float:
+    """``statistics.pvariance(values)``, bit for bit, in integer arithmetic.
+
+    A finite float is ``num / den`` with ``den`` a power of two, so the
+    largest ``den`` is a common denominator ``D``; with ``m_i = x_i x D``
+    the variance is ``(n x sum(m^2) - sum(m)^2) / (n^2 x D^2)``. That is
+    the exact rational ``pvariance`` computes with fractions, and
+    ``int / int`` rounds it to the nearest float once, as ``pvariance``
+    does. Anything else (``inf``, ``nan``, all-int data, whose
+    ``pvariance`` stays an ``int``, other number types or no data) goes
+    to ``statistics.pvariance`` itself.
+    """
+    ratios = []
+    any_float = False
+    for x in values:
+        if type(x) is float:
+            if not math.isfinite(x):
+                return statistics.pvariance(values)
+            any_float = True
+        elif type(x) is not int:
+            return statistics.pvariance(values)
+        ratios.append(x.as_integer_ratio())
+    if not any_float:
+        return statistics.pvariance(values)
+    d = max(den for _, den in ratios)
+    total = total_sq = 0
+    for num, den in ratios:
+        m = num * (d // den)
+        total += m
+        total_sq += m * m
+    n = len(ratios)
+    return (n * total_sq - total * total) / (n * n * d * d)
+
+
 # ---------------------------------------------------------------------------
 # objectives
 # ---------------------------------------------------------------------------
@@ -154,7 +189,7 @@ class PaperObjective:
         if len(fps) != len(priorities):
             raise ValueError("fps and priorities must have the same length")
         weighted = sum(f * p for f, p in zip(fps, priorities))
-        variance = statistics.pvariance(fps) if len(fps) > 1 else 0.0
+        variance = exact_pvariance(fps) if len(fps) > 1 else 0.0
         return weighted - self.alpha * variance
 
 
@@ -607,6 +642,7 @@ __all__ = [
     "ServingOracle",
     "SimOracle",
     "SloObjective",
+    "exact_pvariance",
     "make_objective",
     "make_oracle",
     "metrics_from_solutions",

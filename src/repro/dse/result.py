@@ -41,12 +41,17 @@ class DseResult:
     workers: int = 1
     # Algorithm 2's inner memo tables (GetPF realizations and per-stage
     # latency/resource evaluations): how many inner steps were looked up,
-    # and how many were served without recomputation.
+    # and how many were served without recomputation. A pooled search
+    # sums the tables of whichever worker process solved each chunk, so
+    # its values depend on chunk scheduling; serial values are exact.
     stage_hits: int = 0
     stage_lookups: int = 0
     # Where the wall time went: aggregate Algorithm-2 solve time (CPU
-    # seconds across workers), parent-side cache bookkeeping, and pool
+    # seconds across workers), the parent-side cache phase, and pool
     # dispatch overhead. Serial searches have zero overhead by definition.
+    # cache_seconds covers more than cache bookkeeping: it also times
+    # rehydrating each candidate, metrics_from_solutions and objective
+    # scoring, until scoring gets a field of its own.
     eval_seconds: float = 0.0
     cache_seconds: float = 0.0
     overhead_seconds: float = 0.0

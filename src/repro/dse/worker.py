@@ -457,7 +457,9 @@ class EvalTimings:
     ``eval_seconds`` is aggregate Algorithm-2 solve CPU time, summed
     across workers for parallel runs (serial runs measure the same loop
     inline, where CPU and wall coincide). ``cache_seconds`` is the
-    parent-side bucketing / dedup / fold / rehydration cost.
+    parent-side bucketing / dedup / fold / rehydration cost, and the
+    rehydration loop includes :func:`metrics_from_solutions` and
+    objective scoring; scoring has no field of its own yet.
     ``overhead_seconds`` is everything else a dispatched generation
     cost: pickling, scheduling, result transport, and core contention —
     the dispatch wall minus the solve time's ideal share per worker,

@@ -16,13 +16,13 @@ isolate each one:
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 
 from repro.construction.reorg import build_pipeline_plan
 from repro.devices.fpga import get_device
 from repro.dse.crossbranch import CrossBranchOptimizer
 from repro.dse.engine import DseEngine
+from repro.dse.objective import exact_pvariance
 from repro.dse.space import Customization
 from repro.models.codec_avatar import build_codec_avatar_decoder
 from repro.perf.estimator import AcceleratorPerf, evaluate
@@ -311,7 +311,7 @@ class AlphaAblation:
         return [b.fps for b in self.perfs[idx].branches]
 
     def variance(self, idx: int) -> float:
-        return statistics.pvariance(self.branch_fps(idx))
+        return exact_pvariance(self.branch_fps(idx))
 
     def total_fps(self, idx: int) -> float:
         return sum(self.branch_fps(idx))

@@ -7,6 +7,8 @@ on the decoder (and so tests can bound the quantization error).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,12 @@ def quantize_tensor(x: np.ndarray, bits: int) -> QuantizedTensor:
     qmax = 2 ** (bits - 1) - 1
     max_abs = float(np.max(np.abs(x))) if x.size else 0.0
     scale = max_abs / qmax if max_abs > 0 else 1.0
+    if scale < sys.float_info.min:
+        # A subnormal quotient rounds to a multiple of the smallest
+        # subnormal, possibly to 0 or below max_abs / qmax. Round it up
+        # instead, so the scale is positive and no code clips.
+        tiny = math.ulp(0.0)
+        scale = -(-int(max_abs / tiny) // qmax) * tiny
     values = np.clip(np.round(x / scale), -qmax - 1, qmax)
     return QuantizedTensor(values=values.astype(np.int64), scale=scale, bits=bits)
 

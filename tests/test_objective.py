@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.devices.fpga import get_device
 from repro.dse.objective import (
     INFEASIBILITY_PENALTY,
     AnalyticalOracle,
@@ -17,6 +21,7 @@ from repro.dse.objective import (
     ServingOracle,
     SimOracle,
     SloObjective,
+    exact_pvariance,
     make_objective,
     make_oracle,
     metrics_from_solutions,
@@ -24,6 +29,8 @@ from repro.dse.objective import (
     resolve_objective,
     resolve_oracle,
 )
+from repro.fcad.flow import FCad
+from repro.models.zoo import get_model
 
 
 def analytical(fps, meets=None):
@@ -101,6 +108,92 @@ class TestPaperObjective:
 
     def test_key_carries_alpha(self):
         assert PaperObjective(alpha=0.5).key != PaperObjective(alpha=0.05).key
+
+
+def _outcome(variance, values):
+    """A variance value, or the type of the overflow it raised."""
+    try:
+        return variance(values)
+    except OverflowError:
+        return OverflowError
+
+
+#: Finite floats across the whole exponent range (subnormals, zero, both
+#: signs, up to the largest double) and ints beyond 2**53.
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1.7976931348623157e308]
+    ),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+#: Lists with repeats: 2-8 draws from a pool of 1-4 values.
+_REPEATED = st.lists(_FINITE, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=8)
+)
+
+
+class TestExactPvariance:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.lists(_FINITE, min_size=2, max_size=8), _REPEATED))
+    def test_equals_statistics_pvariance(self, values):
+        assert _outcome(exact_pvariance, values) == _outcome(
+            statistics.pvariance, values
+        )
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [math.inf, 1.0],
+            [1.0, -math.inf, 2.0],
+            [math.inf, -math.inf],
+            [math.nan, 1.0],
+            [2.0, math.inf, math.nan],
+        ],
+    )
+    def test_non_finite_values_match_pvariance(self, values):
+        expected = statistics.pvariance(values)
+        got = exact_pvariance(values)
+        if math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert got == expected
+
+    def test_overflow_raises_like_pvariance(self):
+        values = [-1.7976931348623157e308, 1.7976931348623157e308]
+        with pytest.raises(OverflowError):
+            statistics.pvariance(values)
+        with pytest.raises(OverflowError):
+            exact_pvariance(values)
+
+    def test_scores_real_search_fps_like_the_historical_formula(
+        self, monkeypatch
+    ):
+        """The branch-FPS tuples of a seeded search, scored both ways."""
+        recorded = []
+        score = PaperObjective.score
+
+        def recording_score(self, metrics, priorities):
+            recorded.append((metrics.fps, priorities))
+            return score(self, metrics, priorities)
+
+        monkeypatch.setattr(PaperObjective, "score", recording_score)
+        flow = FCad(
+            network=get_model("codec_avatar_decoder"),
+            device=get_device("ZU9CG"),
+            quant="int8",
+        )
+        flow.run(seed=0, iterations=3, population=24)
+        monkeypatch.undo()
+        assert len(recorded) >= 3 * 24
+        assert len({fps for fps, _ in recorded}) > 1
+        for fps, priorities in recorded:
+            weighted = sum(f * p for f, p in zip(fps, priorities))
+            for alpha in (0.05, 0.5):
+                old = weighted - alpha * statistics.pvariance(fps)
+                assert PaperObjective(alpha=alpha).score(
+                    analytical(fps), priorities
+                ) == old
 
 
 class TestSloObjective:

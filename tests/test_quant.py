@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,3 +87,21 @@ class TestQuantize:
         q = quantize_tensor(x, bits)
         error = np.max(np.abs(q.dequantized() - x)) if x.size else 0.0
         assert error <= q.scale / 2 + 1e-12
+
+    @pytest.mark.parametrize("bits", [2, 4, 8, 16])
+    @pytest.mark.parametrize(
+        "ulps",
+        [[1, -1, 0], [3], [190, -7], [1000, 2, 0], [2**52 - 1, -(2**51)]],
+    )
+    def test_subnormal_tensor_has_positive_scale(self, ulps, bits):
+        # max_abs / qmax of a subnormal tensor rounds to 0 or below the
+        # exact quotient; the scale must still be positive and large
+        # enough that no code clips, so the bound holds with no slack.
+        x = np.array(ulps, dtype=np.float64) * math.ulp(0.0)
+        qmax = 2 ** (bits - 1) - 1
+        with np.errstate(all="raise"):
+            q = quantize_tensor(x, bits)
+            error = np.max(np.abs(q.dequantized() - x))
+        assert q.scale > 0
+        assert -qmax - 1 <= q.values.min() and q.values.max() <= qmax
+        assert error <= q.scale / 2
